@@ -12,8 +12,8 @@ use ssr_runtime::analysis::{
 use ssr_runtime::exhaustive::ExploreOptions;
 use ssr_runtime::family::{
     explore_sample_seeds, explore_with_replay, stochastic_max_runs, AlgorithmSpec, Bounds,
-    ExecBudget, ExploreFamily, ExploreReport, Family, FamilyProbe, FamilyRunOutcome, InitPlan,
-    ProbeBridge, RunSeeds, StochasticMax, Verdict,
+    ExploreFamily, ExploreReport, Family, FamilyProbe, FamilyRunOutcome, InitPlan, ProbeBridge,
+    RunSeeds, StochasticMax, Verdict,
 };
 use ssr_runtime::rng::Xoshiro256StarStar;
 use ssr_runtime::{Algorithm, ConfigView, Daemon, Simulator};
@@ -116,7 +116,7 @@ impl Family for FgaSdrFamily {
         init: &InitPlan,
         daemon: &Daemon,
         seeds: RunSeeds,
-        budget: ExecBudget,
+        cap: u64,
         probe: Option<&mut dyn FamilyProbe>,
     ) -> FamilyRunOutcome {
         let fga = self
@@ -134,8 +134,7 @@ impl Family for FgaSdrFamily {
         bridge.install_trace(&mut sim);
         let out = sim
             .execution()
-            .cap(budget.cap)
-            .intra_threads(budget.intra_threads)
+            .cap(cap)
             .observe(&mut verdict_probe)
             .observe(&mut bridge)
             .run();
@@ -331,7 +330,7 @@ impl Family for FgaStandaloneFamily {
         _init: &InitPlan,
         daemon: &Daemon,
         seeds: RunSeeds,
-        budget: ExecBudget,
+        cap: u64,
         probe: Option<&mut dyn FamilyProbe>,
     ) -> FamilyRunOutcome {
         let fga = self
@@ -347,8 +346,7 @@ impl Family for FgaStandaloneFamily {
         bridge.install_trace(&mut sim);
         let out = sim
             .execution()
-            .cap(budget.cap)
-            .intra_threads(budget.intra_threads)
+            .cap(cap)
             .observe(&mut verdict_probe)
             .observe(&mut bridge)
             .run();
@@ -424,7 +422,7 @@ mod tests {
                 &InitPlan::Arbitrary,
                 &Daemon::RandomSubset { p: 0.5 },
                 seeds(),
-                2_000_000.into(),
+                2_000_000,
                 None,
             ),
             FgaStandaloneFamily::new(PresetSpec::Domination).run(
@@ -432,7 +430,7 @@ mod tests {
                 &InitPlan::Arbitrary,
                 &Daemon::RandomSubset { p: 0.5 },
                 seeds(),
-                2_000_000.into(),
+                2_000_000,
                 None,
             ),
         ] {

@@ -63,13 +63,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod columns;
 pub mod family;
 mod fga;
 pub mod presets;
 pub mod verify;
 
-pub use columns::FgaColumns;
 pub use family::{FgaSdrFamily, FgaStandaloneFamily};
 pub use fga::{fga_sdr, Fga, FgaError, FgaSdr, FgaState, RULE_CLR, RULE_P1, RULE_P2, RULE_Q};
 pub use presets::PresetSpec;

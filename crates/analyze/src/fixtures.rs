@@ -18,8 +18,8 @@ use ssr_runtime::analysis::{
 };
 use ssr_runtime::family::ProbeBridge;
 use ssr_runtime::{
-    Algorithm, Daemon, ExecBudget, Execution, Family, FamilyProbe, FamilyRunOutcome, InitPlan,
-    RuleId, RuleMask, RunSeeds, StateView,
+    Algorithm, Daemon, Execution, Family, FamilyProbe, FamilyRunOutcome, InitPlan, RuleId,
+    RuleMask, RunSeeds, StateView,
 };
 
 // ---------------------------------------------------------------------
@@ -93,7 +93,7 @@ impl Family for FarSightFamily {
         _init: &InitPlan,
         daemon: &Daemon,
         seeds: RunSeeds,
-        budget: ExecBudget,
+        cap: u64,
         probe: Option<&mut dyn FamilyProbe>,
     ) -> FamilyRunOutcome {
         let mut init = vec![false; graph.node_count()];
@@ -103,7 +103,7 @@ impl Family for FarSightFamily {
             .init(init)
             .daemon(daemon.clone())
             .seed(seeds.sim)
-            .cap(budget.cap)
+            .cap(cap)
             .observe(&mut bridge)
             .run_report();
         FamilyRunOutcome::from_run(&report.outcome, report.sim.stats().steps)
@@ -188,7 +188,7 @@ impl Family for ShadowedPairFamily {
         _init: &InitPlan,
         daemon: &Daemon,
         seeds: RunSeeds,
-        budget: ExecBudget,
+        cap: u64,
         probe: Option<&mut dyn FamilyProbe>,
     ) -> FamilyRunOutcome {
         let init = vec![0u8; graph.node_count()];
@@ -197,7 +197,7 @@ impl Family for ShadowedPairFamily {
             .init(init)
             .daemon(daemon.clone())
             .seed(seeds.sim)
-            .cap(budget.cap)
+            .cap(cap)
             .observe(&mut bridge)
             .run_report();
         FamilyRunOutcome::from_run(&report.outcome, report.sim.stats().steps)
@@ -288,7 +288,7 @@ mod tests {
                 sim: 8,
                 fault: 9,
             },
-            ExecBudget::steps(1_000),
+            1_000,
             None,
         );
         assert!(out.terminal, "far-sight flood terminates");

@@ -2,9 +2,10 @@
 //! obligations every registered family owes the step pipeline.
 //!
 //! The engine's fast paths are *conditionally* correct: incremental
-//! guard re-evaluation assumes **locality**, the parallel kernels
-//! assume **non-adjacent commutativity**, and deterministic intra-run
-//! parallelism assumes **RNG discipline** (DESIGN.md §11). The
+//! guard re-evaluation assumes **locality**, applying every move
+//! against the frozen configuration assumes **non-adjacent
+//! commutativity**, and seeded determinism assumes **RNG discipline**
+//! (DESIGN.md §11). The
 //! `ssr-runtime::analysis` instrumentation measures those properties;
 //! this crate drives it over a registry:
 //!
@@ -370,7 +371,7 @@ mod tests {
                 _: &ssr_runtime::InitPlan,
                 _: &ssr_runtime::Daemon,
                 _: ssr_runtime::RunSeeds,
-                _: ssr_runtime::ExecBudget,
+                _: u64,
                 _: Option<&mut dyn ssr_runtime::FamilyProbe>,
             ) -> ssr_runtime::FamilyRunOutcome {
                 unimplemented!("never run here")

@@ -13,8 +13,8 @@ use ssr_runtime::analysis::{
     audit_runs, collect_footprints, AnalyzeFamily, AnalyzeOptions, GraphAnalysis, RngAudit,
 };
 use ssr_runtime::family::{
-    explore_sample_seeds, AlgorithmSpec, ExecBudget, Family, FamilyProbe, FamilyRunOutcome,
-    InitPlan, ProbeBridge, RunSeeds,
+    explore_sample_seeds, AlgorithmSpec, Family, FamilyProbe, FamilyRunOutcome, InitPlan,
+    ProbeBridge, RunSeeds,
 };
 use ssr_runtime::rng::Xoshiro256StarStar;
 use ssr_runtime::{Daemon, Simulator};
@@ -73,7 +73,7 @@ impl Family for CfgUnisonFamily {
         init: &InitPlan,
         daemon: &Daemon,
         seeds: RunSeeds,
-        budget: ExecBudget,
+        cap: u64,
         probe: Option<&mut dyn FamilyProbe>,
     ) -> FamilyRunOutcome {
         let nn = graph.node_count() as u64;
@@ -99,8 +99,7 @@ impl Family for CfgUnisonFamily {
         bridge.install_trace(&mut sim);
         let out = sim
             .execution()
-            .cap(budget.cap)
-            .intra_threads(budget.intra_threads)
+            .cap(cap)
             .observe(&mut bridge)
             .until(|gr, st| spec::safety_holds(gr, st, period))
             .run();
@@ -189,7 +188,7 @@ impl Family for MonoResetFamily {
         init: &InitPlan,
         daemon: &Daemon,
         seeds: RunSeeds,
-        budget: ExecBudget,
+        cap: u64,
         probe: Option<&mut dyn FamilyProbe>,
     ) -> FamilyRunOutcome {
         let nn = graph.node_count() as u64;
@@ -215,8 +214,7 @@ impl Family for MonoResetFamily {
         bridge.install_trace(&mut sim);
         let out = sim
             .execution()
-            .cap(budget.cap)
-            .intra_threads(budget.intra_threads)
+            .cap(cap)
             .observe(&mut bridge)
             .until(|gr, st| check.is_normal_config(gr, st))
             .run();
@@ -273,7 +271,7 @@ mod tests {
             &InitPlan::Arbitrary,
             &Daemon::RandomSubset { p: 0.5 },
             seeds(),
-            2_000_000.into(),
+            2_000_000,
             None,
         );
         assert_eq!(out.verdict, Verdict::NoBound);
@@ -290,7 +288,7 @@ mod tests {
             },
             &Daemon::RandomSubset { p: 0.5 },
             seeds(),
-            2_000_000.into(),
+            2_000_000,
             None,
         );
         assert_eq!(out.verdict, Verdict::NoBound);

@@ -1,10 +1,8 @@
 //! Large-scale convergence driver for the staged step pipeline: runs
 //! the SDR composition to termination on rings and tori up to 10⁶
-//! nodes at several intra-run thread counts, verifies byte-identity
-//! across thread counts and convergence within the Cor. 5 bound, and
-//! writes throughput results — including the per-phase wall-time
-//! breakdown from the `ssr-obs` metrics snapshot — to
-//! `BENCH_SCALE.json`.
+//! nodes, verifies convergence within the Cor. 5 bound, and writes
+//! throughput results — including the per-phase wall-time breakdown
+//! from the `ssr-obs` metrics snapshot — to `BENCH_SCALE.json`.
 //!
 //! Usage:
 //!
@@ -20,51 +18,40 @@
 //!
 //! The workload is `Agreement ∘ SDR` from an adversarial
 //! configuration under the synchronous daemon (maximal per-step
-//! selections, so the apply/guard kernels see the largest possible
-//! fan-out). For every `(topology, n)` cell the run is repeated at
-//! each thread count and the final configuration and statistics must
-//! match the sequential run exactly — the process exits nonzero on
-//! any divergence or non-convergence.
+//! selections, so the apply and guard phases see the largest possible
+//! fan-out). The process exits nonzero when a cell does not converge.
 //!
 //! Each measured run carries a timed `PipelineMetrics` trace sink, so
-//! `BENCH_SCALE.json` (schema `bench-scale-v2`) reports where the wall
-//! time went per phase (`select`/`apply`/`guards` nanos) and how often
-//! the parallel kernels engaged. `--trace DIR` is intended for
-//! `--smoke`-sized runs — a full 10⁶-node sweep traces gigabytes.
+//! `BENCH_SCALE.json` (schema `bench-scale-v3`) reports where the wall
+//! time went per phase (`select`/`apply`/`guards` nanos). `--trace
+//! DIR` is intended for `--smoke`-sized runs — a full 10⁶-node sweep
+//! traces gigabytes.
 
 use std::time::Instant;
 
-use ssr_core::columns::ComposedColumns;
 use ssr_core::toys::Agreement;
 use ssr_core::Sdr;
 use ssr_graph::{generators, Graph};
 use ssr_obs::metrics::MetricsSet;
-use ssr_obs::observers::{ConflictObserver, ConflictSummary};
 use ssr_obs::pipeline::{CompositeSink, PipelineMetrics};
 use ssr_obs::progress::{Progress, StderrProgress};
 use ssr_obs::trace::JsonlSink;
-use ssr_runtime::{Daemon, ScalarColumns, Simulator, StateColumns, StepOutcome};
+use ssr_runtime::{Daemon, Simulator, StepOutcome};
 
 /// One measured run.
 struct RunResult {
     topology: &'static str,
     n: usize,
-    threads: usize,
     steps: u64,
     moves: u64,
     rounds: u64,
     seconds: f64,
     converged: bool,
-    conflict_classes_avg: f64,
-    soa_heap_bytes: usize,
     /// Per-phase wall time of the measured run, from the pipeline's
     /// timed trace events.
     phase_select_nanos: u64,
     phase_apply_nanos: u64,
     phase_guards_nanos: u64,
-    /// Steps on which the parallel apply/guards kernels engaged.
-    apply_par_steps: u64,
-    guards_par_steps: u64,
 }
 
 fn build(topology: &str, n: usize) -> Graph {
@@ -78,36 +65,27 @@ fn build(topology: &str, n: usize) -> Graph {
     }
 }
 
-/// Runs the composition to termination (or the Cor. 5 step bound under
-/// the synchronous daemon) and reports throughput plus diagnostics.
-type SdrAgreementState = ssr_core::Composed<u32>;
-
 fn histogram_sum(m: &MetricsSet, key: &str) -> u64 {
     m.histogram(key).map(|h| h.sum()).unwrap_or(0)
 }
 
+/// Runs the composition to termination (or the Cor. 5 step bound under
+/// the synchronous daemon) and reports throughput plus the folded
+/// pipeline metrics.
 fn run_cell(
     g: &Graph,
     topology: &'static str,
     n: usize,
-    threads: usize,
     trace_dir: Option<&str>,
-) -> (
-    RunResult,
-    Vec<SdrAgreementState>,
-    MetricsSet,
-    ConflictSummary,
-) {
+) -> (RunResult, MetricsSet) {
     let algo = Sdr::new(Agreement::new(8));
     let init = algo.arbitrary_config(g, 0x5CA1E);
     let mut sim = Simulator::new(g, algo, init, Daemon::Synchronous, 11);
-    sim.set_intra_threads(threads);
     // Phase-timed metrics on the measured run; optionally a JSONL
     // event trace (timing stays out of the file so traces of the same
     // cell are byte-identical).
-    let file = trace_dir.and_then(|dir| {
-        JsonlSink::create(format!("{dir}/trace-{topology}-{n}-t{threads}.jsonl")).ok()
-    });
+    let file = trace_dir
+        .and_then(|dir| JsonlSink::create(format!("{dir}/trace-{topology}-{n}.jsonl")).ok());
     sim.set_trace_sink(Box::new(CompositeSink::new(
         Some(PipelineMetrics::new()),
         file,
@@ -134,58 +112,29 @@ fn run_cell(
             cell_metrics = folded;
         }
     }
-    // Conflict-partition diagnostic on a short replay: how many
-    // greedy classes the per-step selections induce.
-    let algo = Sdr::new(Agreement::new(8));
-    let init = algo.arbitrary_config(g, 0x5CA1E);
-    let mut diag = Simulator::new(g, algo, init, Daemon::Synchronous, 11);
-    diag.set_conflict_stats(true);
-    let mut conflicts = ConflictObserver::new();
-    diag.execution().cap(10).observe(&mut conflicts).run();
-    let summary = conflicts.summary();
-    conflicts.merge_into(&mut cell_metrics);
-    // SoA snapshot: flat columns of the final configuration.
-    let mut cols: ComposedColumns<ScalarColumns<u32>> = ComposedColumns::default();
-    sim.snapshot_columns(&mut cols);
-    assert_eq!(cols.len(), g.node_count());
     let result = RunResult {
         topology,
         n,
-        threads,
         steps: sim.stats().steps,
         moves: sim.stats().moves,
         rounds: sim.stats().completed_rounds,
         seconds,
         converged,
-        conflict_classes_avg: summary.mean_classes().unwrap_or(0.0),
-        soa_heap_bytes: cols.heap_bytes(),
         phase_select_nanos: histogram_sum(&cell_metrics, "phase.select.nanos"),
         phase_apply_nanos: histogram_sum(&cell_metrics, "phase.apply.nanos"),
         phase_guards_nanos: histogram_sum(&cell_metrics, "phase.guards.nanos"),
-        apply_par_steps: cell_metrics
-            .counter_value("kernel.apply.par_steps")
-            .unwrap_or(0),
-        guards_par_steps: cell_metrics
-            .counter_value("kernel.guards.par_steps")
-            .unwrap_or(0),
     };
-    // The full final configuration, compared exactly across thread
-    // counts.
-    let fingerprint = sim.states().to_vec();
-    (result, fingerprint, cell_metrics, summary)
+    (result, cell_metrics)
 }
 
 fn json_escape_free(r: &RunResult) -> String {
     format!(
-        "{{\"topology\":\"{}\",\"n\":{},\"threads\":{},\"steps\":{},\"moves\":{},\
+        "{{\"topology\":\"{}\",\"n\":{},\"steps\":{},\"moves\":{},\
          \"rounds\":{},\"seconds\":{:.6},\"steps_per_sec\":{:.1},\
          \"moves_per_sec\":{:.1},\"converged\":{},\
-         \"conflict_classes_avg\":{:.2},\"soa_heap_bytes\":{},\
-         \"phase_nanos\":{{\"select\":{},\"apply\":{},\"guards\":{}}},\
-         \"kernel_par_steps\":{{\"apply\":{},\"guards\":{}}}}}",
+         \"phase_nanos\":{{\"select\":{},\"apply\":{},\"guards\":{}}}}}",
         r.topology,
         r.n,
-        r.threads,
         r.steps,
         r.moves,
         r.rounds,
@@ -193,13 +142,9 @@ fn json_escape_free(r: &RunResult) -> String {
         r.steps as f64 / r.seconds.max(1e-9),
         r.moves as f64 / r.seconds.max(1e-9),
         r.converged,
-        r.conflict_classes_avg,
-        r.soa_heap_bytes,
         r.phase_select_nanos,
         r.phase_apply_nanos,
         r.phase_guards_nanos,
-        r.apply_par_steps,
-        r.guards_par_steps,
     )
 }
 
@@ -221,89 +166,61 @@ fn main() {
         std::fs::create_dir_all(dir).expect("create --trace directory");
     }
 
-    let (cells, threads_axis): (Vec<(&str, usize)>, Vec<usize>) = if smoke {
-        (vec![("ring", 100_000)], vec![1, 2])
+    let cells: Vec<(&str, usize)> = if smoke {
+        vec![("ring", 100_000)]
     } else {
-        (
-            vec![
-                ("ring", 1_000),
-                ("ring", 10_000),
-                ("ring", 100_000),
-                ("ring", 1_000_000),
-                ("torus", 1_000),
-                ("torus", 10_000),
-                ("torus", 100_000),
-                ("torus", 1_000_000),
-            ],
-            vec![1, 2, 4, 8],
-        )
+        vec![
+            ("ring", 1_000),
+            ("ring", 10_000),
+            ("ring", 100_000),
+            ("ring", 1_000_000),
+            ("torus", 1_000),
+            ("torus", 10_000),
+            ("torus", 100_000),
+            ("torus", 1_000_000),
+        ]
     };
 
     let mut progress = want_progress.then(StderrProgress::new);
     if let Some(p) = progress.as_mut() {
-        p.begin(cells.len() * threads_axis.len());
+        p.begin(cells.len());
     }
     let mut merged = MetricsSet::new();
     let mut lines = Vec::new();
     let mut failures = 0usize;
-    let mut item = 0usize;
-    for &(topology, n) in &cells {
+    for (item, &(topology, n)) in cells.iter().enumerate() {
         let g = build(topology, n);
-        let mut baseline: Option<Vec<SdrAgreementState>> = None;
-        for &threads in &threads_axis {
-            let label = format!("{topology}/n={n}/t={threads}");
-            if let Some(p) = progress.as_mut() {
-                p.item_started(0, item, &label);
-            }
-            let (r, fingerprint, cell_metrics, conflicts) =
-                run_cell(&g, topology, n, threads, trace_dir.as_deref());
-            println!(
-                "{:>6} n={:<9} threads={} steps={:<8} {:>10.0} steps/s {:>10.0} moves/s converged={} classes≈{:.1} phase s/a/g = {:.2}/{:.2}/{:.2}s",
-                topology,
-                n,
-                threads,
-                r.steps,
-                r.steps as f64 / r.seconds.max(1e-9),
-                r.moves as f64 / r.seconds.max(1e-9),
-                r.converged,
-                r.conflict_classes_avg,
-                r.phase_select_nanos as f64 / 1e9,
-                r.phase_apply_nanos as f64 / 1e9,
-                r.phase_guards_nanos as f64 / 1e9,
-            );
-            println!("         {conflicts}");
-            let mut ok = true;
-            if !r.converged {
-                eprintln!("FAIL: {topology} n={n} threads={threads} did not converge");
-                failures += 1;
-                ok = false;
-            }
-            match &baseline {
-                None => baseline = Some(fingerprint),
-                Some(base) => {
-                    if *base != fingerprint {
-                        eprintln!(
-                            "FAIL: {topology} n={n} threads={threads} diverged from sequential"
-                        );
-                        failures += 1;
-                        ok = false;
-                    }
-                }
-            }
-            merged.merge(&cell_metrics);
-            lines.push(json_escape_free(&r));
-            if let Some(p) = progress.as_mut() {
-                p.item_done(item, &label, ok);
-            }
-            item += 1;
+        let label = format!("{topology}/n={n}");
+        if let Some(p) = progress.as_mut() {
+            p.item_started(0, item, &label);
+        }
+        let (r, cell_metrics) = run_cell(&g, topology, n, trace_dir.as_deref());
+        println!(
+            "{:>6} n={:<9} steps={:<8} {:>10.0} steps/s {:>10.0} moves/s converged={} phase s/a/g = {:.2}/{:.2}/{:.2}s",
+            topology,
+            n,
+            r.steps,
+            r.steps as f64 / r.seconds.max(1e-9),
+            r.moves as f64 / r.seconds.max(1e-9),
+            r.converged,
+            r.phase_select_nanos as f64 / 1e9,
+            r.phase_apply_nanos as f64 / 1e9,
+            r.phase_guards_nanos as f64 / 1e9,
+        );
+        if !r.converged {
+            eprintln!("FAIL: {topology} n={n} did not converge");
+            failures += 1;
+        }
+        merged.merge(&cell_metrics);
+        lines.push(json_escape_free(&r));
+        if let Some(p) = progress.as_mut() {
+            p.item_done(item, &label, r.converged);
         }
     }
     if let Some(p) = progress.as_mut() {
         p.finish();
     }
 
-    // Coloring stats of the conflict partitions, via the serde-free
-    // summary pretty-printer (merged over all cells' diagnostics).
     let snapshot = merged.snapshot();
     if let Some(path) = &metrics_out {
         std::fs::write(path, format!("{}\n", snapshot.to_json())).expect("write --metrics file");
@@ -312,7 +229,7 @@ fn main() {
     }
 
     let doc = format!(
-        "{{\n  \"schema\": \"bench-scale-v2\",\n  \"smoke\": {smoke},\n  \"runs\": [\n    {}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"bench-scale-v3\",\n  \"smoke\": {smoke},\n  \"runs\": [\n    {}\n  ]\n}}\n",
         lines.join(",\n    ")
     );
     std::fs::write(&out, &doc).expect("write BENCH_SCALE.json");

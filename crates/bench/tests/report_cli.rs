@@ -7,12 +7,12 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-/// One `bench-scale-v2` cell, enough for a single-cell history entry.
+/// One `bench-scale-v3` cell, enough for a single-cell history entry.
 const SCALE_JSON: &str = r#"{
-  "schema": "bench-scale-v2",
+  "schema": "bench-scale-v3",
   "smoke": true,
   "runs": [
-    {"topology":"ring","n":1000,"threads":4,"steps":11,"moves":2894,"rounds":11,"seconds":0.0003,"steps_per_sec":34582.7,"moves_per_sec":9098397.2,"converged":true,"conflict_classes_avg":2.00,"soa_heap_bytes":9216,"phase_nanos":{"select":7038,"apply":44996,"guards":252129},"kernel_par_steps":{"apply":0,"guards":2}}
+    {"topology":"ring","n":1000,"steps":11,"moves":2894,"rounds":11,"seconds":0.0003,"steps_per_sec":34582.7,"moves_per_sec":9098397.2,"converged":true,"phase_nanos":{"select":7038,"apply":44996,"guards":252129}}
   ]
 }
 "#;
@@ -119,6 +119,15 @@ fn check_trips_on_degraded_entry() {
     assert!(
         out.status.success(),
         "loose tolerances must pass: {}",
+        stderr_of(&out)
+    );
+    // A throughput tolerance of 1 or more puts the floor at or below
+    // zero: a gate that cannot trip is refused.
+    let out = report(&["check", "--history", history_s, "--throughput-tol", "5.0"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        stderr_of(&out).contains("throughput tolerance"),
+        "{}",
         stderr_of(&out)
     );
 

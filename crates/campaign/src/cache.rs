@@ -115,7 +115,6 @@ mod tests {
             trial,
             seed: 7,
             step_cap: 1000,
-            intra_threads: 1,
         }
     }
 

@@ -42,7 +42,6 @@ pub struct Campaign {
     inits: Vec<InitPlan>,
     trials: u64,
     step_cap: u64,
-    intra_threads: Vec<usize>,
     master_seed: u64,
 }
 
@@ -59,7 +58,6 @@ impl Campaign {
             inits: vec![InitPlan::Arbitrary],
             trials: 1,
             step_cap: 5_000_000,
-            intra_threads: vec![1],
             master_seed: 0x5D12_CA3B,
         }
     }
@@ -112,16 +110,6 @@ impl Campaign {
         self
     }
 
-    /// Sets the intra-run thread axis (must be non-empty; values are
-    /// clamped to ≥ 1). The default singleton `[1]` leaves every grid
-    /// index, seed, and record identical to a campaign without the
-    /// axis; sweeping it only changes throughput, never results.
-    pub fn intra_threads(mut self, axis: Vec<usize>) -> Self {
-        assert!(!axis.is_empty(), "intra-thread axis must be non-empty");
-        self.intra_threads = axis.into_iter().map(|t| t.max(1)).collect();
-        self
-    }
-
     /// Sets the master seed all per-scenario seeds derive from.
     pub fn seed(mut self, master_seed: u64) -> Self {
         self.master_seed = master_seed;
@@ -141,7 +129,6 @@ impl Campaign {
             * self.daemons.len()
             * self.inits.len()
             * self.trials as usize
-            * self.intra_threads.len()
     }
 
     /// Whether the grid is empty (never true: all axes are non-empty).
@@ -152,10 +139,7 @@ impl Campaign {
     /// Decodes grid index `index` into its scenario (lazy expansion).
     ///
     /// Axis order, fastest-varying last: topology, size, algorithm,
-    /// daemon, init, trial, intra-threads. The thread axis is
-    /// innermost so that the default singleton `[1]` reproduces the
-    /// exact indices (and hence seeds and records) of grids that
-    /// predate it.
+    /// daemon, init, trial.
     ///
     /// # Panics
     ///
@@ -163,13 +147,6 @@ impl Campaign {
     pub fn scenario(&self, index: usize) -> Scenario {
         assert!(index < self.len(), "scenario index out of range");
         let mut rest = index;
-        let intra_threads = self.intra_threads[rest % self.intra_threads.len()];
-        rest /= self.intra_threads.len();
-        // The seed is keyed on the index with the thread axis divided
-        // out: thread-axis replicas of one cell are the *same run* at
-        // different worker counts (byte-identical results), and the
-        // default singleton reproduces the historical index == key.
-        let seed_key = rest;
         let trial = (rest % self.trials as usize) as u64;
         rest /= self.trials as usize;
         let init = self.inits[rest % self.inits.len()];
@@ -184,7 +161,7 @@ impl Campaign {
         // Index-keyed seed: identical no matter which worker runs it.
         let mut state = self
             .master_seed
-            .wrapping_add((seed_key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            .wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let seed = splitmix64(&mut state);
         Scenario {
             index,
@@ -196,7 +173,6 @@ impl Campaign {
             trial,
             seed,
             step_cap: self.step_cap,
-            intra_threads,
         }
     }
 
@@ -279,31 +255,6 @@ mod tests {
         let a = grid().seed(1).scenario(0).seed;
         let b = grid().seed(2).scenario(0).seed;
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn intra_thread_axis_is_innermost_and_transparent() {
-        // The default singleton is invisible: same length, same
-        // scenarios, same seeds as an explicit [1].
-        let plain: Vec<Scenario> = grid().scenarios().collect();
-        let explicit: Vec<Scenario> = grid().intra_threads(vec![1]).scenarios().collect();
-        assert_eq!(plain, explicit);
-        // A real axis multiplies the grid and varies fastest, keeping
-        // every other field of adjacent scenarios identical.
-        let c = grid().intra_threads(vec![1, 4]);
-        assert_eq!(c.len(), 2 * plain.len());
-        let a = c.scenario(0);
-        let b = c.scenario(1);
-        assert_eq!(a.intra_threads, 1);
-        assert_eq!(b.intra_threads, 4);
-        assert_eq!((a.topology, a.n, a.trial), (b.topology, b.n, b.trial));
-        // Thread replicas of a cell share the seed: same run, more
-        // workers.
-        assert_eq!(a.seed, b.seed);
-        assert_ne!(a.seed, c.scenario(2).seed, "different cells still differ");
-        assert_eq!(c.scenario(2).intra_threads, 1);
-        // Clamping: 0 is nonsense, treat it as sequential.
-        assert_eq!(grid().intra_threads(vec![0]).scenario(0).intra_threads, 1);
     }
 
     #[test]

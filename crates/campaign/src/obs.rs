@@ -194,7 +194,6 @@ mod tests {
             trial: 2,
             seed: 7,
             step_cap: 1000,
-            intra_threads: 1,
         };
         let label = scenario_label(&sc);
         assert!(label.contains("ring") && label.contains("n=16") && label.ends_with("#2"));
@@ -210,11 +209,7 @@ mod tests {
             step: 0,
             enabled: 2,
         });
-        sink.record(&TraceEvent::MovesApplied {
-            step: 0,
-            moves: 2,
-            conflict_classes: None,
-        });
+        sink.record(&TraceEvent::MovesApplied { step: 0, moves: 2 });
         probe.collect_trace_sink(sink);
         assert_eq!(worker.counter_value("pipeline.steps"), Some(1));
         assert_eq!(worker.counter_value("pipeline.moves"), Some(2));

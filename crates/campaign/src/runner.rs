@@ -23,7 +23,7 @@
 //! on `Family::run` itself.
 
 use ssr_graph::{metrics, Graph};
-use ssr_runtime::family::{ExecBudget, FamilyProbe, FamilyRegistry, FamilyRunOutcome, RunSeeds};
+use ssr_runtime::family::{FamilyProbe, FamilyRegistry, FamilyRunOutcome, RunSeeds};
 use ssr_runtime::TerminationReason;
 
 use crate::families;
@@ -176,7 +176,7 @@ pub fn run_scenario_probed(
             sim: sim_seed,
             fault: fault_seed,
         },
-        ExecBudget::steps(sc.step_cap).with_intra_threads(sc.intra_threads),
+        sc.step_cap,
         probe,
     );
     rec.apply(&out);
@@ -201,7 +201,6 @@ mod tests {
             trial: 0,
             seed: 0xFEED,
             step_cap: 2_000_000,
-            intra_threads: 1,
         }
     }
 

@@ -195,10 +195,6 @@ pub struct Scenario {
     pub seed: u64,
     /// Step budget for the run.
     pub step_cap: u64,
-    /// Intra-run worker threads for the step pipeline (1 =
-    /// sequential). Byte-identical results at any value — the axis
-    /// exists for throughput sweeps, not semantics.
-    pub intra_threads: usize,
 }
 
 impl Scenario {
@@ -215,13 +211,11 @@ impl Scenario {
     /// × size × algorithm × daemon × init plan × seed × step cap.
     ///
     /// Grid bookkeeping is deliberately excluded: `index` and `trial`
-    /// say *where* the scenario sits, not what it computes, and
-    /// `intra_threads` is seed-transparent (runs are byte-identical at
-    /// any value). Two scenarios with equal fingerprints therefore
-    /// produce identical [`crate::ScenarioRecord`]s up to those
-    /// position fields — the invariant the campaign result cache
-    /// ([`crate::cache`]) and the `ssr-checkpoint/v1` store are built
-    /// on.
+    /// say *where* the scenario sits, not what it computes. Two
+    /// scenarios with equal fingerprints therefore produce identical
+    /// [`crate::ScenarioRecord`]s up to those position fields — the
+    /// invariant the campaign result cache ([`crate::cache`]) and the
+    /// `ssr-checkpoint/v1` store are built on.
     pub fn fingerprint(&self) -> Fingerprint {
         let mut enc = FpEncoder::new();
         enc.str("ssr-scenario/v1");
@@ -355,13 +349,11 @@ mod tests {
             trial: 0,
             seed: 42,
             step_cap: 1000,
-            intra_threads: 1,
         };
         let fp = base.fingerprint();
         let mut moved = base.clone();
         moved.index = 99;
         moved.trial = 3;
-        moved.intra_threads = 4;
         assert_eq!(moved.fingerprint(), fp, "position fields are excluded");
         for (what, sc) in [
             ("seed", {
@@ -411,7 +403,6 @@ mod tests {
             trial: 0,
             seed: 42,
             step_cap: 1000,
-            intra_threads: 1,
         };
         let a: [u64; 4] = sc.seeds();
         let b: [u64; 4] = sc.seeds();

@@ -1,15 +1,14 @@
 //! The canonical scenario fingerprint: equal scenarios hash equal, the
 //! hash covers exactly the record-determining fields, and it is
-//! invariant under grid axis-ordering and thread counts — the
-//! properties that make it a sound content address for cached records.
+//! invariant under grid axis-ordering — the properties that make it a sound content address for cached records.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
-use ssr_campaign::{families, Amount, Campaign, InitPlan, Scenario, TopologySpec};
+use ssr_campaign::{families, Amount, InitPlan, Scenario, TopologySpec};
 use ssr_runtime::Daemon;
 
-fn scenario(seed: u64, n: usize, trial: u64, index: usize, intra: usize) -> Scenario {
+fn scenario(seed: u64, n: usize, trial: u64, index: usize) -> Scenario {
     Scenario {
         index,
         topology: TopologySpec::Ring,
@@ -20,14 +19,12 @@ fn scenario(seed: u64, n: usize, trial: u64, index: usize, intra: usize) -> Scen
         trial,
         seed,
         step_cap: 500_000,
-        intra_threads: intra,
     }
 }
 
 proptest! {
     /// Scenarios that agree on every record-determining field produce
-    /// the same fingerprint, regardless of where the grid put them or
-    /// how many intra-run workers execute them.
+    /// the same fingerprint, regardless of where the grid put them.
     #[test]
     fn equal_content_hashes_equal(
         seed in 0u64..u64::MAX,
@@ -36,11 +33,9 @@ proptest! {
         trial_b in 0u64..8,
         index_a in 0usize..1000,
         index_b in 0usize..1000,
-        intra_a in 1usize..8,
-        intra_b in 1usize..8,
     ) {
-        let a = scenario(seed, n, trial_a, index_a, intra_a);
-        let b = scenario(seed, n, trial_b, index_b, intra_b);
+        let a = scenario(seed, n, trial_a, index_a);
+        let b = scenario(seed, n, trial_b, index_b);
         // trial IS part of grid position, not content… but it is also
         // restamped on cache hits, so it must not enter the hash.
         prop_assert_eq!(a.fingerprint(), b.fingerprint());
@@ -49,7 +44,7 @@ proptest! {
     /// Changing any content field changes the fingerprint.
     #[test]
     fn content_changes_change_the_hash(seed in 0u64..u64::MAX, n in 4usize..64) {
-        let base = scenario(seed, n, 0, 0, 1);
+        let base = scenario(seed, n, 0, 0);
         let fp = base.fingerprint();
         let mutations: Vec<Scenario> = vec![
             Scenario { seed: seed.wrapping_add(1), ..base.clone() },
@@ -91,7 +86,6 @@ proptest! {
             trial: 0,
             seed: seed_of(t, n, d),
             step_cap: 500_000,
-            intra_threads: 1,
         };
         // Forward: topology-major. Reversed: daemon-major, all value
         // orders flipped — every cell lands on a different index.
@@ -118,27 +112,6 @@ proptest! {
         prop_assert_eq!(f.len(), forward.len(), "every cell hashes distinctly");
         prop_assert_eq!(f, r);
     }
-
-    /// Sweeping the intra-thread axis multiplies the grid but adds no
-    /// new content: the fingerprint set equals the single-thread
-    /// grid's, and thread-axis replicas of one cell hash identically.
-    #[test]
-    fn thread_axis_is_fingerprint_transparent(master_seed in 0u64..10_000) {
-        let base = Campaign::new("fp-threads")
-            .topologies(vec![TopologySpec::Ring, TopologySpec::Star])
-            .sizes(vec![6])
-            .trials(2)
-            .seed(master_seed);
-        let swept = base.clone().intra_threads(vec![1, 2, 4]);
-        let set = |c: &Campaign| -> BTreeSet<String> {
-            c.scenarios().map(|sc| sc.fingerprint().to_string()).collect()
-        };
-        prop_assert_eq!(set(&base), set(&swept));
-        // Adjacent indices are thread replicas of the same cell.
-        prop_assert_eq!(swept.scenario(0).fingerprint(), swept.scenario(1).fingerprint());
-        prop_assert_eq!(swept.scenario(1).fingerprint(), swept.scenario(2).fingerprint());
-        prop_assert_ne!(swept.scenario(2).fingerprint(), swept.scenario(3).fingerprint());
-    }
 }
 
 /// The fingerprint's wire rendering is pinned: 32 lowercase hex digits
@@ -146,7 +119,7 @@ proptest! {
 /// known value forever (the checkpoint format depends on it).
 #[test]
 fn rendering_is_pinned() {
-    let fp = scenario(7, 8, 0, 0, 1).fingerprint();
+    let fp = scenario(7, 8, 0, 0).fingerprint();
     let text = fp.to_string();
     assert_eq!(text.len(), 32);
     assert!(text
@@ -156,7 +129,7 @@ fn rendering_is_pinned() {
     assert_eq!(back, fp);
     // Golden: changing the canonical encoding breaks this on purpose.
     assert_eq!(
-        scenario(7, 8, 0, 0, 1).fingerprint(),
-        scenario(7, 8, 5, 99, 3).fingerprint()
+        scenario(7, 8, 0, 0).fingerprint(),
+        scenario(7, 8, 5, 99).fingerprint()
     );
 }

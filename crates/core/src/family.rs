@@ -21,8 +21,8 @@ use ssr_runtime::analysis::{
 use ssr_runtime::exhaustive::{ExploreOptions, ExploreState};
 use ssr_runtime::family::{
     explore_sample_seeds, explore_with_replay, stochastic_max_runs, AlgorithmSpec, Bounds,
-    ExecBudget, ExploreFamily, ExploreReport, Family, FamilyProbe, FamilyRunOutcome, InitPlan,
-    ProbeBridge, RunSeeds, StochasticMax, Verdict,
+    ExploreFamily, ExploreReport, Family, FamilyProbe, FamilyRunOutcome, InitPlan, ProbeBridge,
+    RunSeeds, StochasticMax, Verdict,
 };
 use ssr_runtime::{Algorithm, Daemon, RunStats, Simulator};
 
@@ -161,7 +161,7 @@ where
         init: &InitPlan,
         daemon: &Daemon,
         seeds: RunSeeds,
-        budget: ExecBudget,
+        cap: u64,
         probe: Option<&mut dyn FamilyProbe>,
     ) -> FamilyRunOutcome {
         let nn = graph.node_count() as u64;
@@ -177,8 +177,7 @@ where
         bridge.install_trace(&mut sim);
         let out = sim
             .execution()
-            .cap(budget.cap)
-            .intra_threads(budget.intra_threads)
+            .cap(cap)
             .observe(&mut bridge)
             .until(|gr, st| check.is_normal_config(gr, st))
             .run();
@@ -352,7 +351,7 @@ mod tests {
             &InitPlan::Arbitrary,
             &Daemon::RandomSubset { p: 0.5 },
             seeds(),
-            2_000_000.into(),
+            2_000_000,
             None,
         );
         assert_eq!(out.verdict, Verdict::Pass, "{out:?}");
@@ -369,7 +368,7 @@ mod tests {
             &InitPlan::Normal,
             &Daemon::Central,
             seeds(),
-            100_000.into(),
+            100_000,
             None,
         );
         assert_eq!(out.rounds, 0, "γ_init is already normal");
@@ -413,13 +412,6 @@ mod tests {
     fn run_panics_without_instantiability_check() {
         let fam = composed("never", |_| None::<BoundedCounter>);
         let g = generators::path(2);
-        let _ = fam.run(
-            &g,
-            &InitPlan::Normal,
-            &Daemon::Central,
-            seeds(),
-            10.into(),
-            None,
-        );
+        let _ = fam.run(&g, &InitPlan::Normal, &Daemon::Central, seeds(), 10, None);
     }
 }

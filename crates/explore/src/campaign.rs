@@ -233,7 +233,6 @@ mod tests {
             trial: 0,
             seed: 0xE13,
             step_cap: 1_000_000,
-            intra_threads: 1,
         }
     }
 

@@ -45,7 +45,6 @@ fn scenario(topology: TopologySpec, n: usize, algorithm: AlgorithmSpec, seed: u6
         trial: 0,
         seed,
         step_cap: 2_000_000,
-        intra_threads: 1,
     }
 }
 

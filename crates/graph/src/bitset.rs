@@ -1,11 +1,10 @@
 //! A plain fixed-size bitset over `u64` words.
 //!
-//! The step pipeline in `ssr-runtime` keeps several per-node boolean
-//! facts (round front membership, enabledness) for graphs up to
-//! millions of nodes; `Vec<bool>` spends a byte per node and defeats
-//! word-at-a-time clearing. This bitset is the struct-of-arrays
-//! counterpart: one bit per node, `len/64` words, `O(n/64)` bulk
-//! clear.
+//! The step pipeline in `ssr-runtime` keeps per-node boolean facts
+//! (round front membership) for graphs up to millions of nodes;
+//! `Vec<bool>` spends a byte per node and defeats word-at-a-time
+//! clearing. This bitset stores one bit per node, `len/64` words, with
+//! an `O(n/64)` bulk clear.
 
 /// A fixed-capacity set of `usize` keys in `0..len`, one bit each.
 ///

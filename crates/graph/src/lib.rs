@@ -18,9 +18,8 @@
 //!   hypercubes, random connected graphs, …);
 //! * [`metrics`] — exact graph metrics (diameter, eccentricities,
 //!   degree statistics) computed by BFS;
-//! * [`coloring`] — greedy coloring and the neighborhood-conflict
-//!   partition the parallel step pipeline in `ssr-runtime` builds on,
-//!   plus the word-packed [`Bitset`] used for per-node flags at scale.
+//! * [`Bitset`] — the word-packed set used for per-node flags at
+//!   scale (the simulator's round front).
 //!
 //! # Examples
 //!
@@ -38,7 +37,6 @@
 
 mod bitset;
 mod builder;
-pub mod coloring;
 pub mod generators;
 mod graph;
 pub mod metrics;

@@ -15,6 +15,10 @@
 //! nano counters survive a write→parse round trip bit-for-bit
 //! (pinned by proptests in `ssr-report`). Objects keep insertion
 //! order, matching the deterministic key order of the writers.
+//!
+//! Nesting is capped at [`MAX_DEPTH`] arrays/objects: the parser
+//! recurses once per level, so an unbounded depth would let a small
+//! hostile document (an HTTP body of `[[[[…`) overflow the stack.
 
 use std::fmt;
 
@@ -152,8 +156,12 @@ impl fmt::Display for Value {
     }
 }
 
+/// The deepest array/object nesting [`parse`] accepts. Every artifact
+/// the stack writes nests at most 5 deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON document (trailing whitespace allowed,
-/// trailing content rejected).
+/// trailing content rejected, nesting capped at [`MAX_DEPTH`]).
 pub fn parse(s: &str) -> Result<Value, String> {
     let mut p = Parser::new(s);
     let v = p.value()?;
@@ -237,6 +245,8 @@ pub fn u64_field(v: &Value, key: &str, what: &str) -> Result<u64, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -244,6 +254,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -277,8 +288,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -286,6 +297,18 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
@@ -477,6 +500,19 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(parse(&deep(MAX_DEPTH + 1)).unwrap_err().contains("nesting"));
+        // A hostile document far past the cap errors instead of
+        // overflowing the stack.
+        let err = parse(&deep(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let objects = "{\"a\":".repeat(200_000);
+        assert!(parse(&objects).unwrap_err().contains("nesting"));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Ready-made [`Observer`]s: metrics collection, conflict-partition
-//! diagnostics, and timeline recording.
+//! Ready-made [`Observer`]s: metrics collection and timeline
+//! recording.
 //!
 //! These attach to any [`Execution`](ssr_runtime::Execution) via
 //! `.observe(...)` — they need the typed simulator handle, unlike
@@ -44,7 +44,6 @@
 //! assert_eq!(metrics.metrics().counter_value("run.moves"), Some(4));
 //! ```
 
-use std::fmt;
 use std::time::Instant;
 
 use ssr_runtime::{Algorithm, Observer, RunOutcome, Simulator, StepOutcome};
@@ -150,111 +149,6 @@ impl<A: Algorithm> Observer<A> for MetricsObserver {
     }
 }
 
-/// Summary statistics of the conflict-partition diagnostics
-/// ([`Simulator::last_conflict_classes`]) over a run — with a
-/// [`fmt::Display`] pretty-printer, so reports need no ad-hoc debug
-/// formatting and no serde.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ConflictSummary {
-    /// Steps with a recorded partition.
-    pub steps: u64,
-    /// Sum of class counts over those steps.
-    pub total_classes: u64,
-    /// Smallest class count seen (0 when nothing was recorded).
-    pub min_classes: u32,
-    /// Largest class count seen.
-    pub max_classes: u32,
-    /// Steps whose selection was already conflict-free (one class).
-    pub single_class_steps: u64,
-}
-
-impl ConflictSummary {
-    /// Mean classes per recorded step (`None` when nothing recorded).
-    pub fn mean_classes(&self) -> Option<f64> {
-        (self.steps > 0).then(|| self.total_classes as f64 / self.steps as f64)
-    }
-}
-
-impl fmt::Display for ConflictSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.steps == 0 {
-            return write!(f, "conflict partition: no steps recorded");
-        }
-        write!(
-            f,
-            "conflict partition: {} steps, classes min {} / mean {:.2} / max {}, {} conflict-free ({:.0}%)",
-            self.steps,
-            self.min_classes,
-            self.mean_classes().unwrap_or(0.0),
-            self.max_classes,
-            self.single_class_steps,
-            100.0 * self.single_class_steps as f64 / self.steps as f64,
-        )
-    }
-}
-
-/// An [`Observer`] sampling [`Simulator::last_conflict_classes`] after
-/// every step.
-///
-/// The simulator must have diagnostics on
-/// ([`Simulator::set_conflict_stats`]) — without them every step
-/// reports `None` and the summary stays empty. Fold the result into a
-/// metrics set with [`ConflictObserver::merge_into`] (key
-/// `conflict.classes` plus the summary counters).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ConflictObserver {
-    summary: ConflictSummary,
-}
-
-impl ConflictObserver {
-    /// A fresh observer.
-    pub fn new() -> Self {
-        ConflictObserver::default()
-    }
-
-    /// The summary so far.
-    pub fn summary(&self) -> ConflictSummary {
-        self.summary
-    }
-
-    /// Folds the summary into `metrics`: histogram `conflict.classes`
-    /// is *not* reconstructible from a summary, so this writes the
-    /// counters `conflict.steps`, `conflict.total_classes`,
-    /// `conflict.single_class_steps` and the gauge
-    /// `conflict.max_classes`.
-    pub fn merge_into(&self, metrics: &mut MetricsSet) {
-        if self.summary.steps == 0 {
-            return;
-        }
-        metrics.inc("conflict.steps", self.summary.steps);
-        metrics.inc("conflict.total_classes", self.summary.total_classes);
-        metrics.inc(
-            "conflict.single_class_steps",
-            self.summary.single_class_steps,
-        );
-        metrics.gauge_set("conflict.max_classes", self.summary.max_classes as u64);
-    }
-}
-
-impl<A: Algorithm> Observer<A> for ConflictObserver {
-    fn on_step(&mut self, sim: &Simulator<'_, A>, _outcome: &StepOutcome) {
-        if let Some(k) = sim.last_conflict_classes() {
-            let s = &mut self.summary;
-            if s.steps == 0 {
-                s.min_classes = k;
-            } else {
-                s.min_classes = s.min_classes.min(k);
-            }
-            s.steps += 1;
-            s.total_classes += k as u64;
-            s.max_classes = s.max_classes.max(k);
-            if k <= 1 {
-                s.single_class_steps += 1;
-            }
-        }
-    }
-}
-
 /// An [`Observer`] recording the full per-step move sequence as a
 /// [`RunTimeline`] — the replayable per-run artifact.
 #[derive(Debug, Default)]
@@ -294,7 +188,6 @@ impl<A: Algorithm> Observer<A> for TimelineObserver {
 fn assert_send() {
     fn is_send<T: Send>() {}
     is_send::<MetricsObserver>();
-    is_send::<ConflictObserver>();
     is_send::<TimelineObserver>();
 }
 
@@ -351,43 +244,6 @@ mod tests {
         let mut obs = MetricsObserver::new();
         sim.execution().cap(100).observe(&mut obs).run();
         assert!(obs.metrics().counter_value("time.run_nanos").unwrap() > 0);
-    }
-
-    #[test]
-    fn conflict_observer_summarizes_partitions() {
-        let g = generators::path(5);
-        let mut sim = flood_sim(&g);
-        sim.set_conflict_stats(true);
-        let mut obs = ConflictObserver::new();
-        let out = sim.execution().cap(100).observe(&mut obs).run();
-        assert!(out.terminal);
-        let s = obs.summary();
-        // Path flood: one mover per step, always one class.
-        assert_eq!(s.steps, 4);
-        assert_eq!((s.min_classes, s.max_classes), (1, 1));
-        assert_eq!(s.single_class_steps, 4);
-        assert_eq!(s.mean_classes(), Some(1.0));
-        let txt = s.to_string();
-        assert!(txt.contains("4 steps") && txt.contains("100%"), "{txt}");
-        let mut m = MetricsSet::new();
-        obs.merge_into(&mut m);
-        assert_eq!(m.counter_value("conflict.steps"), Some(4));
-    }
-
-    #[test]
-    fn conflict_observer_without_diagnostics_stays_empty() {
-        let g = generators::path(3);
-        let mut sim = flood_sim(&g);
-        let mut obs = ConflictObserver::new();
-        sim.execution().cap(100).observe(&mut obs).run();
-        assert_eq!(obs.summary().steps, 0);
-        assert_eq!(
-            obs.summary().to_string(),
-            "conflict partition: no steps recorded"
-        );
-        let mut m = MetricsSet::new();
-        obs.merge_into(&mut m);
-        assert!(m.is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! [`PipelineMetrics`]: a [`TraceSink`] folding the step pipeline's
 //! event stream into the metrics registry — per-phase wall time,
-//! moves/step, enabled-set occupancy, and kernel utilization — and
+//! moves/step and enabled-set occupancy — and
 //! [`CompositeSink`], the metrics + trace-file fanout the campaign and
 //! bench layers install through the family boundary.
 
@@ -20,12 +20,7 @@ use crate::trace::JsonlSink;
 /// * `pipeline.steps`, `pipeline.moves`, `pipeline.rounds` — counters;
 /// * `pipeline.moves_per_step`, `pipeline.enabled_set` — histograms;
 /// * `phase.{select,apply,guards}.nanos` — histograms (phase timing
-///   on, the default for this sink);
-/// * `kernel.{apply,guards}.par_steps` / `.seq_steps` — counters
-///   splitting each parallelizable phase by whether the installed
-///   kernels engaged (intra-thread utilization);
-/// * `pipeline.conflict_classes` — histogram, only when the simulator
-///   has conflict diagnostics on.
+///   on, the default for this sink).
 ///
 /// # Examples
 ///
@@ -35,7 +30,7 @@ use crate::trace::JsonlSink;
 ///
 /// let mut pm = PipelineMetrics::new();
 /// pm.record(&TraceEvent::StepStarted { step: 0, enabled: 4 });
-/// pm.record(&TraceEvent::MovesApplied { step: 0, moves: 2, conflict_classes: None });
+/// pm.record(&TraceEvent::MovesApplied { step: 0, moves: 2 });
 /// let m = pm.into_metrics();
 /// assert_eq!(m.counter_value("pipeline.steps"), Some(1));
 /// assert_eq!(m.counter_value("pipeline.moves"), Some(2));
@@ -90,29 +85,14 @@ impl TraceSink for PipelineMetrics {
                 self.metrics
                     .observe("pipeline.enabled_set", *enabled as u64);
             }
-            TraceEvent::PhaseTimed {
-                phase, nanos, par, ..
-            } => {
+            TraceEvent::PhaseTimed { phase, nanos, .. } => {
                 self.metrics
                     .observe(&format!("phase.{phase}.nanos"), *nanos);
-                // Select is sequential by design; utilization split
-                // only makes sense for the parallelizable phases.
-                if phase.as_str() != "select" {
-                    let kind = if *par { "par_steps" } else { "seq_steps" };
-                    self.metrics.inc(&format!("kernel.{phase}.{kind}"), 1);
-                }
             }
-            TraceEvent::MovesApplied {
-                moves,
-                conflict_classes,
-                ..
-            } => {
+            TraceEvent::MovesApplied { moves, .. } => {
                 self.metrics.inc("pipeline.moves", *moves as u64);
                 self.metrics
                     .observe("pipeline.moves_per_step", *moves as u64);
-                if let Some(k) = conflict_classes {
-                    self.metrics.observe("pipeline.conflict_classes", *k as u64);
-                }
             }
             TraceEvent::EnabledSetSize { .. } => {}
             TraceEvent::RoundCompleted { .. } => {
@@ -209,25 +189,18 @@ mod tests {
             step: 0,
             phase: TracePhase::Select,
             nanos: 100,
-            par: false,
         });
         pm.record(&TraceEvent::PhaseTimed {
             step: 0,
             phase: TracePhase::Apply,
             nanos: 200,
-            par: true,
         });
         pm.record(&TraceEvent::PhaseTimed {
             step: 0,
             phase: TracePhase::Guards,
             nanos: 300,
-            par: false,
         });
-        pm.record(&TraceEvent::MovesApplied {
-            step: 0,
-            moves: 3,
-            conflict_classes: Some(2),
-        });
+        pm.record(&TraceEvent::MovesApplied { step: 0, moves: 3 });
         pm.record(&TraceEvent::EnabledSetSize {
             step: 0,
             enabled: 2,
@@ -244,14 +217,8 @@ mod tests {
         assert_eq!(m.counter_value("pipeline.moves"), Some(3));
         assert_eq!(m.counter_value("pipeline.rounds"), Some(1));
         assert_eq!(m.counter_value("pipeline.runs"), Some(1));
-        assert_eq!(m.counter_value("kernel.apply.par_steps"), Some(1));
-        assert_eq!(m.counter_value("kernel.guards.seq_steps"), Some(1));
-        assert_eq!(m.counter_value("kernel.select.seq_steps"), None);
         assert_eq!(m.histogram("phase.select.nanos").unwrap().sum(), 100);
-        assert_eq!(
-            m.histogram("pipeline.conflict_classes").unwrap().max(),
-            Some(2)
-        );
+        assert_eq!(m.histogram("phase.guards.nanos").unwrap().sum(), 300);
     }
 
     #[test]
@@ -271,11 +238,7 @@ mod tests {
             step: 0,
             enabled: 2,
         });
-        boxed.record(&TraceEvent::MovesApplied {
-            step: 0,
-            moves: 2,
-            conflict_classes: None,
-        });
+        boxed.record(&TraceEvent::MovesApplied { step: 0, moves: 2 });
         let composite = boxed
             .as_any_mut()
             .and_then(|a| a.downcast_mut::<CompositeSink>())

@@ -6,8 +6,8 @@
 //!
 //! ```json
 //! {"event":"step-started","step":0,"enabled":3}
-//! {"event":"phase-timed","step":0,"phase":"select","nanos":1200,"par":false}
-//! {"event":"moves-applied","step":0,"moves":2,"conflict_classes":null}
+//! {"event":"phase-timed","step":0,"phase":"select","nanos":1200}
+//! {"event":"moves-applied","step":0,"moves":2}
 //! {"event":"enabled-set-size","step":0,"enabled":2}
 //! {"event":"round-completed","step":0,"rounds":1}
 //! {"event":"run-ended","steps":10,"moves":12,"rounds":3,"reason":"terminal"}
@@ -35,32 +35,14 @@ pub fn event_to_json(event: &TraceEvent) -> String {
         TraceEvent::StepStarted { step, enabled } => {
             let _ = write!(s, ",\"step\":{step},\"enabled\":{enabled}");
         }
-        TraceEvent::PhaseTimed {
-            step,
-            phase,
-            nanos,
-            par,
-        } => {
+        TraceEvent::PhaseTimed { step, phase, nanos } => {
             let _ = write!(
                 s,
-                ",\"step\":{step},\"phase\":\"{phase}\",\"nanos\":{nanos},\"par\":{par}"
+                ",\"step\":{step},\"phase\":\"{phase}\",\"nanos\":{nanos}"
             );
         }
-        TraceEvent::MovesApplied {
-            step,
-            moves,
-            conflict_classes,
-        } => {
-            let _ = write!(
-                s,
-                ",\"step\":{step},\"moves\":{moves},\"conflict_classes\":"
-            );
-            match conflict_classes {
-                Some(k) => {
-                    let _ = write!(s, "{k}");
-                }
-                None => s.push_str("null"),
-            }
+        TraceEvent::MovesApplied { step, moves } => {
+            let _ = write!(s, ",\"step\":{step},\"moves\":{moves}");
         }
         TraceEvent::EnabledSetSize { step, enabled } => {
             let _ = write!(s, ",\"step\":{step},\"enabled\":{enabled}");
@@ -90,8 +72,8 @@ pub fn event_to_json(event: &TraceEvent) -> String {
 fn required_keys(event_name: &str) -> Option<&'static [&'static str]> {
     Some(match event_name {
         "step-started" | "enabled-set-size" => &["step", "enabled"],
-        "phase-timed" => &["step", "phase", "nanos", "par"],
-        "moves-applied" => &["step", "moves", "conflict_classes"],
+        "phase-timed" => &["step", "phase", "nanos"],
+        "moves-applied" => &["step", "moves"],
         "round-completed" => &["step", "rounds"],
         "run-ended" => &["steps", "moves", "rounds", "reason"],
         _ => return None,
@@ -280,18 +262,8 @@ mod tests {
                 step: 0,
                 phase: TracePhase::Select,
                 nanos: 12,
-                par: false,
             },
-            TraceEvent::MovesApplied {
-                step: 0,
-                moves: 2,
-                conflict_classes: Some(1),
-            },
-            TraceEvent::MovesApplied {
-                step: 1,
-                moves: 2,
-                conflict_classes: None,
-            },
+            TraceEvent::MovesApplied { step: 0, moves: 2 },
             TraceEvent::EnabledSetSize {
                 step: 0,
                 enabled: 2,
@@ -316,6 +288,16 @@ mod tests {
         assert!(validate_jsonl_line("{\"no\":\"event\"}").is_err());
         assert!(validate_jsonl_line("{\"event\":\"mystery\"}").is_err());
         assert!(validate_jsonl_line("{\"event\":\"step-started\",\"step\":1}").is_err());
+    }
+
+    #[test]
+    fn validation_accepts_lines_with_retired_keys() {
+        // Traces written before `par` and `conflict_classes` were
+        // dropped carry them as extra keys; they stay valid.
+        let old_phase = r#"{"event":"phase-timed","step":0,"phase":"apply","nanos":9,"par":false}"#;
+        let old_moves = r#"{"event":"moves-applied","step":0,"moves":2,"conflict_classes":null}"#;
+        validate_jsonl_line(old_phase).unwrap();
+        validate_jsonl_line(old_moves).unwrap();
     }
 
     #[test]

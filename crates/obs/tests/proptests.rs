@@ -1,7 +1,7 @@
 //! Property-based pins for the observability read-only guarantee: on
 //! any seeded run, enabling trace or metrics channels must leave the
-//! run's results byte-identical to the bare path — at one *and* four
-//! intra-run threads — and two traces of the same seeded run must be
+//! run's results byte-identical to the bare path, and two traces (or
+//! untimed metrics snapshots) of the same seeded run must be
 //! byte-identical to each other.
 
 use proptest::prelude::*;
@@ -69,11 +69,9 @@ fn run_once(
     g: &Graph,
     init: &[u32],
     daemon: Daemon,
-    threads: usize,
     sink: Option<Box<dyn TraceSink>>,
 ) -> (RunRecord, Option<Box<dyn TraceSink>>) {
     let mut sim = Simulator::new(g, MaxFlood, init.to_vec(), daemon, 42);
-    sim.set_intra_threads(threads);
     if let Some(sink) = sink {
         sim.set_trace_sink(sink);
     }
@@ -105,7 +103,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Results with trace and metrics channels enabled are identical to
-    /// the bare path, at 1 and 4 intra-run threads alike.
+    /// the bare path.
     #[test]
     fn observability_leaves_results_byte_identical(
         n in 3usize..24,
@@ -115,27 +113,21 @@ proptest! {
     ) {
         let (g, init) = instance(n, gseed, vseed);
         let d = daemon(dchoice);
-        let (baseline, _) = run_once(&g, &init, d.clone(), 1, None);
-        for threads in [1usize, 4] {
-            let (bare, _) = run_once(&g, &init, d.clone(), threads, None);
-            let (traced, _) = run_once(
-                &g,
-                &init,
-                d.clone(),
-                threads,
-                Some(Box::new(JsonlSink::new(Vec::new()))),
-            );
-            let (metered, _) = run_once(
-                &g,
-                &init,
-                d.clone(),
-                threads,
-                Some(Box::new(PipelineMetrics::without_timing())),
-            );
-            prop_assert_eq!(&bare, &baseline, "threads must not change results");
-            prop_assert_eq!(&traced, &baseline, "tracing must be read-only");
-            prop_assert_eq!(&metered, &baseline, "metrics must be read-only");
-        }
+        let (baseline, _) = run_once(&g, &init, d.clone(), None);
+        let (traced, _) = run_once(
+            &g,
+            &init,
+            d.clone(),
+            Some(Box::new(JsonlSink::new(Vec::new()))),
+        );
+        let (metered, _) = run_once(
+            &g,
+            &init,
+            d,
+            Some(Box::new(PipelineMetrics::without_timing())),
+        );
+        prop_assert_eq!(&traced, &baseline, "tracing must be read-only");
+        prop_assert_eq!(&metered, &baseline, "metrics must be read-only");
     }
 
     /// Two JSONL traces of the same seeded run are byte-identical, and
@@ -155,7 +147,6 @@ proptest! {
                 &g,
                 &init,
                 d.clone(),
-                1,
                 Some(Box::new(JsonlSink::new(Vec::new()))),
             );
             traces.push(trace_bytes(sink.expect("sink survives the run")));
@@ -165,21 +156,20 @@ proptest! {
     }
 
     /// The untimed pipeline-metrics snapshot is a pure function of the
-    /// seeded run: identical JSON at 1 and 4 intra-run threads.
+    /// seeded run: two runs give identical JSON.
     #[test]
-    fn untimed_metrics_are_thread_count_invariant(
+    fn untimed_metrics_are_a_pure_function_of_the_run(
         n in 3usize..24,
         gseed in 0u64..50,
         vseed in 0u64..50,
     ) {
         let (g, init) = instance(n, gseed, vseed);
         let mut snapshots = Vec::new();
-        for threads in [1usize, 4] {
+        for _ in 0..2 {
             let (_, sink) = run_once(
                 &g,
                 &init,
                 Daemon::Synchronous,
-                threads,
                 Some(Box::new(CompositeSink::new(
                     Some(PipelineMetrics::without_timing()),
                     None,

@@ -5,7 +5,7 @@
 //! from the outside — git SHA and a host fingerprint are caller-passed
 //! flags, never ambient state — so a history file is reproducible and
 //! the store stays deterministic. Per-cell figures are distilled from a
-//! `bench-scale-v2` sweep by [`entry_from_scale`].
+//! `bench-scale-v3` sweep by [`entry_from_scale`].
 //!
 //! [`check`] is a pure function from `(baseline, current, tolerance)`
 //! to a list of [`Regression`]s: throughput may not fall below
@@ -30,7 +30,8 @@ pub struct HistoryCell {
     pub topology: String,
     /// Node count.
     pub n: u64,
-    /// Intra-run thread count.
+    /// Intra-run thread count. The step pipeline is sequential, so new
+    /// entries always carry 1; older entries recorded other counts.
     pub threads: u64,
     /// Steps per second (higher is better).
     pub steps_per_sec: f64,
@@ -66,7 +67,9 @@ pub struct HistoryEntry {
     pub cells: Vec<HistoryCell>,
 }
 
-/// Distills a parsed `bench-scale-v2` sweep into one history entry.
+/// Distills a parsed `bench-scale-v3` sweep into one history entry.
+/// Every cell is stamped `threads: 1`, which keeps new entries
+/// comparable with the sequential cells of older ones.
 pub fn entry_from_scale(doc: &ScaleDoc, sha: &str, host: &str, source: &str) -> HistoryEntry {
     HistoryEntry {
         sha: sha.to_string(),
@@ -78,7 +81,7 @@ pub fn entry_from_scale(doc: &ScaleDoc, sha: &str, host: &str, source: &str) -> 
             .map(|r| HistoryCell {
                 topology: r.topology.clone(),
                 n: r.n,
-                threads: r.threads,
+                threads: 1,
                 steps_per_sec: r.steps_per_sec,
                 moves_per_sec: r.moves_per_sec,
                 phase_select_nanos: r.phase_select_nanos,
@@ -224,13 +227,22 @@ impl std::fmt::Display for Regression {
 /// `baseline × (1 + phase_frac)` (zero-valued baselines or currents
 /// are skipped — untimed sweeps carry no phase signal).
 ///
-/// Errors when the two entries share no `(topology, n, threads)` cell:
-/// a gate that compares nothing must fail loudly, not pass silently.
+/// Errors when the two entries share no `(topology, n, threads)` cell,
+/// and when `throughput_frac ≥ 1` puts the throughput floor at or
+/// below zero: a gate that cannot fail must fail loudly, not pass
+/// silently.
 pub fn check(
     baseline: &HistoryEntry,
     current: &HistoryEntry,
     tol: &Tolerance,
 ) -> Result<Vec<Regression>, String> {
+    if !(0.0..1.0).contains(&tol.throughput_frac) {
+        return Err(format!(
+            "throughput tolerance {} must lie in [0, 1): the floor baseline × (1 − tol) \
+             must stay above zero",
+            tol.throughput_frac
+        ));
+    }
     let mut regressions = Vec::new();
     let mut compared = 0usize;
     for cur in &current.cells {
@@ -377,6 +389,25 @@ mod tests {
     }
 
     #[test]
+    fn a_floor_at_or_below_zero_is_an_error() {
+        let e = entry("a", vec![cell(100, 1000.0, 2000)]);
+        for frac in [1.0, 5.0, -0.1, f64::NAN] {
+            let tol = Tolerance {
+                throughput_frac: frac,
+                phase_frac: 0.25,
+            };
+            let err = check(&e, &e, &tol).unwrap_err();
+            assert!(err.contains("throughput tolerance"), "{err}");
+        }
+        let tenfold = Tolerance {
+            throughput_frac: 0.9,
+            phase_frac: 0.25,
+        };
+        let slow = entry("b", vec![cell(100, 50.0, 2000)]);
+        assert_eq!(check(&e, &slow, &tenfold).unwrap().len(), 2);
+    }
+
+    #[test]
     fn disjoint_cells_error() {
         let base = entry("a", vec![cell(100, 1000.0, 2000)]);
         let cur = entry("b", vec![cell(200, 1000.0, 2000)]);
@@ -387,17 +418,15 @@ mod tests {
     #[test]
     fn entry_from_scale_distills_cells() {
         let doc = crate::reader::parse_scale_json(
-            "{\"schema\": \"bench-scale-v2\", \"smoke\": true, \"runs\": [\
-             {\"topology\":\"ring\",\"n\":100,\"threads\":2,\"steps\":5,\"moves\":9,\
+            "{\"schema\": \"bench-scale-v3\", \"smoke\": true, \"runs\": [\
+             {\"topology\":\"ring\",\"n\":100,\"steps\":5,\"moves\":9,\
              \"rounds\":5,\"seconds\":0.5,\"steps_per_sec\":10.0,\"moves_per_sec\":18.0,\
-             \"converged\":true,\"conflict_classes_avg\":2.00,\"soa_heap_bytes\":1024,\
-             \"phase_nanos\":{\"select\":1,\"apply\":2,\"guards\":3},\
-             \"kernel_par_steps\":{\"apply\":4,\"guards\":5}}]}",
+             \"converged\":true,\"phase_nanos\":{\"select\":1,\"apply\":2,\"guards\":3}}]}",
         )
         .unwrap();
         let e = entry_from_scale(&doc, "deadbeef", "ci-x86", "BENCH_SCALE.json");
         assert_eq!(e.cells.len(), 1);
-        assert_eq!(e.cells[0].key(), "ring/n=100/t=2");
+        assert_eq!(e.cells[0].key(), "ring/n=100/t=1");
         assert_eq!(e.cells[0].phase_guards_nanos, 3);
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! Every chart figure is always emitted under a stable anchor id
 //! (`chart-bounds`, `chart-convergence`, `chart-phases`,
-//! `chart-scaling`, `chart-timeline`, `history`); a figure whose
+//! `chart-timeline`, `history`); a figure whose
 //! artifact is absent says so in place instead of vanishing, so smoke
 //! checks can grep for the full inventory unconditionally.
 
@@ -20,7 +20,7 @@ use std::path::Path;
 
 use crate::history::{self, HistoryEntry};
 use crate::reader::{self, BenchResultsDoc, CampaignRow, MetricsDoc, ScaleDoc, TraceRow};
-use crate::svg::{self, esc, fmt_num, HBar, Series, VBar};
+use crate::svg::{self, esc, fmt_num, HBar, VBar};
 
 /// Timeline charts/tables cap at this many steps so a long run cannot
 /// balloon the report; the figure notes the truncation.
@@ -399,7 +399,7 @@ fn phases_section(art: &Artifacts) -> String {
         return empty_figure(
             "chart-phases",
             "Per-phase time breakdown",
-            "needs BENCH_SCALE.json (bench-scale-v2)",
+            "needs BENCH_SCALE.json (bench-scale-v3)",
         );
     };
     let mut tops: Vec<&str> = scale.runs.iter().map(|r| r.topology.as_str()).collect();
@@ -428,14 +428,10 @@ fn phases_section(art: &Artifacts) -> String {
             for (phase, nanos, slot) in phases {
                 let ms = nanos as f64 / 1.0e6;
                 bars.push(HBar {
-                    label: format!("{top} n={max_n} t={} · {phase}", r.threads),
+                    label: format!("{top} n={max_n} · {phase}"),
                     value: ms,
                     marker: None,
-                    tooltip: format!(
-                        "{top} n={max_n} threads={}: {phase} {} ms",
-                        r.threads,
-                        fmt_num(ms)
-                    ),
+                    tooltip: format!("{top} n={max_n}: {phase} {} ms", fmt_num(ms)),
                     series: slot,
                 });
             }
@@ -466,76 +462,6 @@ fn phases_section(art: &Artifacts) -> String {
         "select / apply / guards wall time at the largest size per topology",
         &legend,
         &svg::hbar_chart(&bars, "milliseconds"),
-        &t,
-    )
-}
-
-/// Thread-scaling curves from the scale sweep: steps/sec over thread
-/// count, one series per `(topology, n)` (largest sizes first, capped
-/// at the 8 categorical slots).
-fn scaling_section(art: &Artifacts) -> String {
-    let Some(scale) = &art.scale else {
-        return empty_figure(
-            "chart-scaling",
-            "Thread scaling",
-            "needs BENCH_SCALE.json (bench-scale-v2)",
-        );
-    };
-    let mut keys: Vec<(String, u64)> = scale
-        .runs
-        .iter()
-        .map(|r| (r.topology.clone(), r.n))
-        .collect();
-    keys.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
-    keys.dedup();
-    let shown = &keys[..keys.len().min(8)];
-    let mut series = Vec::new();
-    let mut rows = Vec::new();
-    for (slot, (top, n)) in shown.iter().enumerate() {
-        let mut points: Vec<(f64, f64)> = scale
-            .runs
-            .iter()
-            .filter(|r| &r.topology == top && r.n == *n)
-            .map(|r| {
-                rows.push(vec![
-                    r.cell(),
-                    fmt_num(r.steps_per_sec),
-                    fmt_num(r.moves_per_sec),
-                    fmt_num(r.seconds),
-                ]);
-                (r.threads as f64, r.steps_per_sec)
-            })
-            .collect();
-        points.sort_by(|a, b| a.0.total_cmp(&b.0));
-        series.push(Series {
-            name: format!("{top} n={n}"),
-            points,
-            series: slot + 1,
-        });
-    }
-    let dropped = keys.len().saturating_sub(shown.len());
-    let note = if dropped > 0 {
-        format!(
-            "steps/sec over intra-run threads — largest {} of {} (topology, n) cells shown",
-            shown.len(),
-            keys.len()
-        )
-    } else {
-        "steps/sec over intra-run threads".to_string()
-    };
-    let legend = svg::legend(
-        &series
-            .iter()
-            .map(|s| (s.name.clone(), s.series))
-            .collect::<Vec<_>>(),
-    );
-    let t = table(&["cell", "steps/sec", "moves/sec", "seconds"], &rows);
-    figure(
-        "chart-scaling",
-        "Thread scaling",
-        &note,
-        &legend,
-        &svg::line_chart(&series, "threads", "steps/sec"),
         &t,
     )
 }
@@ -754,7 +680,6 @@ pub fn render(art: &Artifacts) -> String {
     s.push_str(&bounds_section(art));
     s.push_str(&convergence_section(art));
     s.push_str(&phases_section(art));
-    s.push_str(&scaling_section(art));
     s.push_str(&timeline_section(art));
     s.push_str(&history_section(art));
     s.push_str(&inventory_section(art));
@@ -774,7 +699,6 @@ mod tests {
             "chart-bounds",
             "chart-convergence",
             "chart-phases",
-            "chart-scaling",
             "chart-timeline",
             "history",
             "inventory",

@@ -18,7 +18,7 @@
 //! Rendering is a pure function of the artifact bytes: no clocks, no
 //! RNG, no locale, sorted directory walks, fixed float formats. Since
 //! campaign records and untimed traces/metrics are themselves
-//! byte-identical at any intra-run thread count, so is the report —
+//! byte-identical at any campaign worker count, so is the report —
 //! `diff` two reports to diff two runs.
 //!
 //! # Quick tour
@@ -28,7 +28,7 @@
 //!
 //! let line = "{\"schema\":\"ssr-history/v1\",\"sha\":\"abc\",\"host\":\"ci\",\
 //!             \"source\":\"BENCH_SCALE.json\",\"cells\":[{\"topology\":\"ring\",\
-//!             \"n\":1000,\"threads\":2,\"steps_per_sec\":100.0,\"moves_per_sec\":250.0,\
+//!             \"n\":1000,\"threads\":1,\"steps_per_sec\":100.0,\"moves_per_sec\":250.0,\
 //!             \"phase_select_nanos\":10,\"phase_apply_nanos\":20,\"phase_guards_nanos\":5}]}";
 //! let entries: Vec<HistoryEntry> = ssr_report::history::parse_history_jsonl(line).unwrap();
 //! // Comparing an entry against itself trips nothing.

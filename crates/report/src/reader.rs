@@ -1,7 +1,7 @@
 //! Typed readers for the artifacts the stack writes: campaign
 //! JSONL/CSV, `ssr-metrics-v1` snapshots, trace JSONL (`DESIGN.md`
 //! §10), `BENCH_RESULTS.json` (`ssr-bench-results/v1`), and
-//! `BENCH_SCALE.json` (`bench-scale-v2`).
+//! `BENCH_SCALE.json` (`bench-scale-v3`).
 //!
 //! Every reader is the exact inverse of a hand-rolled writer elsewhere
 //! in the workspace, built on the shared recursive-descent parser in
@@ -385,8 +385,6 @@ pub struct TraceRow {
     pub nanos: Option<u64>,
     /// Termination reason (for `run-ended`).
     pub reason: Option<String>,
-    /// Conflict classes of the applied selection, when measured.
-    pub conflict_classes: Option<u64>,
 }
 
 /// Parses a trace JSONL file; every line is also validated against the
@@ -414,7 +412,6 @@ pub fn parse_trace_jsonl(text: &str) -> Result<Vec<TraceRow>, String> {
             phase: v.get("phase").and_then(Value::as_str).map(str::to_string),
             nanos: opt("nanos"),
             reason: v.get("reason").and_then(Value::as_str).map(str::to_string),
-            conflict_classes: opt("conflict_classes"),
         });
     }
     Ok(out)
@@ -495,18 +492,16 @@ pub fn parse_bench_results(text: &str) -> Result<BenchResultsDoc, String> {
 }
 
 // ---------------------------------------------------------------------
-// BENCH_SCALE.json (bench-scale-v2)
+// BENCH_SCALE.json (bench-scale-v3)
 // ---------------------------------------------------------------------
 
-/// One measured cell of a `bench-scale-v2` sweep.
+/// One measured cell of a `bench-scale-v3` sweep.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScaleRun {
     /// Topology (`ring` / `torus`).
     pub topology: String,
     /// Node count.
     pub n: u64,
-    /// Intra-run thread count.
-    pub threads: u64,
     /// Steps to convergence.
     pub steps: u64,
     /// Moves to convergence.
@@ -521,30 +516,22 @@ pub struct ScaleRun {
     pub moves_per_sec: f64,
     /// Whether the run converged within the bound.
     pub converged: bool,
-    /// Mean greedy conflict classes per step (diagnostic replay).
-    pub conflict_classes_avg: f64,
-    /// Heap bytes of the SoA snapshot.
-    pub soa_heap_bytes: u64,
     /// Select-phase wall nanos.
     pub phase_select_nanos: u64,
     /// Apply-phase wall nanos.
     pub phase_apply_nanos: u64,
     /// Guards-phase wall nanos.
     pub phase_guards_nanos: u64,
-    /// Steps on which the parallel apply kernel engaged.
-    pub apply_par_steps: u64,
-    /// Steps on which the parallel guards kernel engaged.
-    pub guards_par_steps: u64,
 }
 
 impl ScaleRun {
-    /// The `(topology, n, threads)` cell key.
+    /// The `(topology, n)` cell key.
     pub fn cell(&self) -> String {
-        format!("{}/n={}/t={}", self.topology, self.n, self.threads)
+        format!("{}/n={}", self.topology, self.n)
     }
 }
 
-/// A parsed `bench-scale-v2` document.
+/// A parsed `bench-scale-v3` document.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScaleDoc {
     /// Whether this was a `--smoke` run.
@@ -554,19 +541,19 @@ pub struct ScaleDoc {
 }
 
 /// Parses (and thereby validates) a `BENCH_SCALE.json` document.
-/// Rejects the retired `bench-scale-v1` schema by name.
+/// Rejects the retired `bench-scale-v1` and `bench-scale-v2` schemas
+/// by name.
 pub fn parse_scale_json(text: &str) -> Result<ScaleDoc, String> {
     let root = json::parse(text)?;
     let schema = json::str_field(&root, "schema", "document")?;
-    if schema == "bench-scale-v1" {
-        return Err(
-            "schema is `bench-scale-v1` (no phase/kernel metrics) — re-run the `scale` bin to \
-             regenerate a `bench-scale-v2` file"
-                .to_string(),
-        );
+    if schema == "bench-scale-v1" || schema == "bench-scale-v2" {
+        return Err(format!(
+            "schema is `{schema}` (retired) — re-run the `scale` bin to regenerate a \
+             `bench-scale-v3` file"
+        ));
     }
-    if schema != "bench-scale-v2" {
-        return Err(format!("schema is `{schema}`, expected `bench-scale-v2`"));
+    if schema != "bench-scale-v3" {
+        return Err(format!("schema is `{schema}`, expected `bench-scale-v3`"));
     }
     let mut runs = Vec::new();
     for (i, r) in json::arr(json::field(&root, "runs", "document")?, "runs")?
@@ -576,12 +563,9 @@ pub fn parse_scale_json(text: &str) -> Result<ScaleDoc, String> {
         let what = format!("runs[{i}]");
         let phase = json::field(r, "phase_nanos", &what)?;
         let pwhat = format!("{what}.phase_nanos");
-        let kernel = json::field(r, "kernel_par_steps", &what)?;
-        let kwhat = format!("{what}.kernel_par_steps");
         runs.push(ScaleRun {
             topology: json::str_field(r, "topology", &what)?,
             n: json::u64_field(r, "n", &what)?,
-            threads: json::u64_field(r, "threads", &what)?,
             steps: json::u64_field(r, "steps", &what)?,
             moves: json::u64_field(r, "moves", &what)?,
             rounds: json::u64_field(r, "rounds", &what)?,
@@ -589,13 +573,9 @@ pub fn parse_scale_json(text: &str) -> Result<ScaleDoc, String> {
             steps_per_sec: json::num_field(r, "steps_per_sec", &what)?,
             moves_per_sec: json::num_field(r, "moves_per_sec", &what)?,
             converged: json::bool_field(r, "converged", &what)?,
-            conflict_classes_avg: json::num_field(r, "conflict_classes_avg", &what)?,
-            soa_heap_bytes: json::u64_field(r, "soa_heap_bytes", &what)?,
             phase_select_nanos: json::u64_field(phase, "select", &pwhat)?,
             phase_apply_nanos: json::u64_field(phase, "apply", &pwhat)?,
             phase_guards_nanos: json::u64_field(phase, "guards", &pwhat)?,
-            apply_par_steps: json::u64_field(kernel, "apply", &kwhat)?,
-            guards_par_steps: json::u64_field(kernel, "guards", &kwhat)?,
         });
     }
     Ok(ScaleDoc {
@@ -675,20 +655,28 @@ mod tests {
     }
 
     #[test]
-    fn scale_v2_parses() {
+    fn scale_v2_is_rejected_with_a_pointer() {
+        let err =
+            parse_scale_json("{\"schema\": \"bench-scale-v2\", \"smoke\": false, \"runs\": []}")
+                .unwrap_err();
+        assert!(
+            err.contains("bench-scale-v2") && err.contains("re-run"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn scale_v3_parses() {
         let doc = parse_scale_json(
-            "{\"schema\": \"bench-scale-v2\", \"smoke\": true, \"runs\": [\
-             {\"topology\":\"ring\",\"n\":100,\"threads\":2,\"steps\":5,\"moves\":9,\
+            "{\"schema\": \"bench-scale-v3\", \"smoke\": true, \"runs\": [\
+             {\"topology\":\"ring\",\"n\":100,\"steps\":5,\"moves\":9,\
              \"rounds\":5,\"seconds\":0.5,\"steps_per_sec\":10.0,\"moves_per_sec\":18.0,\
-             \"converged\":true,\"conflict_classes_avg\":2.00,\"soa_heap_bytes\":1024,\
-             \"phase_nanos\":{\"select\":1,\"apply\":2,\"guards\":3},\
-             \"kernel_par_steps\":{\"apply\":4,\"guards\":5}}]}",
+             \"converged\":true,\"phase_nanos\":{\"select\":1,\"apply\":2,\"guards\":3}}]}",
         )
         .unwrap();
         assert!(doc.smoke);
-        assert_eq!(doc.runs[0].cell(), "ring/n=100/t=2");
+        assert_eq!(doc.runs[0].cell(), "ring/n=100");
         assert_eq!(doc.runs[0].phase_guards_nanos, 3);
-        assert_eq!(doc.runs[0].guards_par_steps, 5);
     }
 
     #[test]

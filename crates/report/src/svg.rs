@@ -3,8 +3,7 @@
 //! Everything here is a pure function of its inputs: coordinates are
 //! formatted with fixed precision, iteration order is the caller's,
 //! and no ambient state (time, RNG, locale) is consulted — so a report
-//! built from the same artifacts is byte-identical on any machine at
-//! any thread count.
+//! built from the same artifacts is byte-identical on any machine.
 //!
 //! Colors are *not* baked in: marks reference the `--series-N`,
 //! `--ink-*`, and `--grid` CSS custom properties that the HTML shell
@@ -165,124 +164,6 @@ pub fn hbar_chart(bars: &[HBar], x_label: &str) -> String {
     s
 }
 
-/// One series of a line chart.
-pub struct Series {
-    /// Series name (legend entry).
-    pub name: String,
-    /// `(x, y)` points in ascending-x order.
-    pub points: Vec<(f64, f64)>,
-    /// 1-based categorical palette slot.
-    pub series: usize,
-}
-
-/// A multi-series line chart: one y-axis, shared x-axis, 2px lines,
-/// ≥8px hover targets with native tooltips on every point.
-pub fn line_chart(series: &[Series], x_label: &str, y_label: &str) -> String {
-    const LEFT: f64 = 70.0;
-    const PLOT_W: f64 = 600.0;
-    const PLOT_H: f64 = 220.0;
-    const TOP: f64 = 12.0;
-    const AXIS_H: f64 = 40.0;
-    let xs: Vec<f64> = series
-        .iter()
-        .flat_map(|s| s.points.iter().map(|p| p.0))
-        .collect();
-    let ys: Vec<f64> = series
-        .iter()
-        .flat_map(|s| s.points.iter().map(|p| p.1))
-        .collect();
-    // The x axis always starts at the origin: every use is a count
-    // (thread counts, step indices), never negative.
-    let x_min = 0.0f64;
-    let x_max = xs.iter().copied().fold(0.0f64, f64::max).max(x_min + 1.0);
-    let y_ceil = nice_ceiling(ys.iter().copied().fold(0.0f64, f64::max));
-    let width = LEFT + PLOT_W + 20.0;
-    let height = TOP + PLOT_H + AXIS_H;
-    let sx = |x: f64| LEFT + (x - x_min) / (x_max - x_min) * PLOT_W;
-    let sy = |y: f64| TOP + PLOT_H - (y / y_ceil) * PLOT_H;
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "<svg viewBox=\"0 0 {} {}\" role=\"img\" xmlns=\"http://www.w3.org/2000/svg\">",
-        px(width),
-        px(height)
-    );
-    for q in 0..=4u32 {
-        let frac = f64::from(q) / 4.0;
-        let y = TOP + PLOT_H * (1.0 - frac);
-        let _ = write!(
-            s,
-            "<line x1=\"{x1}\" y1=\"{y}\" x2=\"{x2}\" y2=\"{y}\" class=\"grid\"/>\
-             <text x=\"{tx}\" y=\"{ty}\" class=\"tick\" text-anchor=\"end\">{t}</text>",
-            x1 = px(LEFT),
-            x2 = px(LEFT + PLOT_W),
-            y = px(y),
-            tx = px(LEFT - 8.0),
-            ty = px(y + 4.0),
-            t = esc(&fmt_num(y_ceil * frac)),
-        );
-    }
-    // X ticks at each distinct x across all series (sweeps are small).
-    let mut ticks: Vec<f64> = xs.clone();
-    ticks.sort_by(f64::total_cmp);
-    ticks.dedup();
-    for &x in &ticks {
-        let _ = write!(
-            s,
-            "<text x=\"{tx}\" y=\"{ty}\" class=\"tick\" text-anchor=\"middle\">{t}</text>",
-            tx = px(sx(x)),
-            ty = px(TOP + PLOT_H + 16.0),
-            t = esc(&fmt_num(x)),
-        );
-    }
-    let _ = write!(
-        s,
-        "<text x=\"{x}\" y=\"{y}\" class=\"axis-label\" text-anchor=\"middle\">{t}</text>\
-         <text x=\"14\" y=\"{ly}\" class=\"axis-label\" text-anchor=\"middle\" \
-         transform=\"rotate(-90 14 {ly})\">{l}</text>",
-        x = px(LEFT + PLOT_W / 2.0),
-        y = px(TOP + PLOT_H + 34.0),
-        t = esc(x_label),
-        ly = px(TOP + PLOT_H / 2.0),
-        l = esc(y_label),
-    );
-    for ser in series {
-        if ser.points.is_empty() {
-            continue;
-        }
-        let mut d = String::new();
-        for (i, &(x, y)) in ser.points.iter().enumerate() {
-            let _ = write!(
-                d,
-                "{}{} {}",
-                if i == 0 { "M" } else { " L" },
-                px(sx(x)),
-                px(sy(y))
-            );
-        }
-        let _ = write!(
-            s,
-            "<path d=\"{d}\" class=\"line s{slot}\" fill=\"none\"/>",
-            slot = ser.series
-        );
-        for &(x, y) in &ser.points {
-            let _ = write!(
-                s,
-                "<circle cx=\"{cx}\" cy=\"{cy}\" r=\"4\" class=\"dot s{slot}\">\
-                 <title>{name}: x={xv}, y={yv}</title></circle>",
-                cx = px(sx(x)),
-                cy = px(sy(y)),
-                slot = ser.series,
-                name = esc(&ser.name),
-                xv = esc(&fmt_num(x)),
-                yv = esc(&fmt_num(y)),
-            );
-        }
-    }
-    s.push_str("</svg>");
-    s
-}
-
 /// One column of a vertical bar chart (histogram bucket, timeline
 /// step, …).
 pub struct VBar {
@@ -430,29 +311,6 @@ mod tests {
         assert!(one.contains("a&lt;b&gt;"));
         assert!(one.contains("&quot;moves&quot;"));
         assert!(one.contains("class=\"marker\""));
-    }
-
-    #[test]
-    fn line_chart_emits_series_and_tooltips() {
-        let s = line_chart(
-            &[
-                Series {
-                    name: "ring".to_string(),
-                    points: vec![(1.0, 10.0), (2.0, 18.0)],
-                    series: 1,
-                },
-                Series {
-                    name: "torus".to_string(),
-                    points: vec![(1.0, 9.0), (2.0, 15.0)],
-                    series: 2,
-                },
-            ],
-            "threads",
-            "steps/sec",
-        );
-        assert!(s.contains("class=\"line s1\""));
-        assert!(s.contains("class=\"line s2\""));
-        assert!(s.contains("<title>torus: x=2, y=15</title>"));
     }
 
     #[test]

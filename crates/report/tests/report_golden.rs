@@ -22,16 +22,14 @@ use ssr_runtime::{Daemon, TerminationReason};
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/report.html");
 
-/// A static `bench-scale-v2` slice: two topologies at two thread
-/// counts, enough to exercise the phase and scaling sections.
+/// A static `bench-scale-v3` slice: two topologies, enough to
+/// exercise the phase section.
 const SCALE_JSON: &str = r#"{
-  "schema": "bench-scale-v2",
+  "schema": "bench-scale-v3",
   "smoke": true,
   "runs": [
-    {"topology":"ring","n":1000,"threads":1,"steps":11,"moves":2894,"rounds":11,"seconds":0.000377,"steps_per_sec":29201.0,"moves_per_sec":7682506.0,"converged":true,"conflict_classes_avg":2.00,"soa_heap_bytes":9216,"phase_nanos":{"select":7783,"apply":75238,"guards":273879},"kernel_par_steps":{"apply":0,"guards":0}},
-    {"topology":"ring","n":1000,"threads":4,"steps":11,"moves":2894,"rounds":11,"seconds":0.000318,"steps_per_sec":34582.7,"moves_per_sec":9098397.2,"converged":true,"conflict_classes_avg":2.00,"soa_heap_bytes":9216,"phase_nanos":{"select":7038,"apply":44996,"guards":252129},"kernel_par_steps":{"apply":0,"guards":2}},
-    {"topology":"torus","n":1024,"threads":1,"steps":13,"moves":31870,"rounds":10,"seconds":0.004,"steps_per_sec":3250.0,"moves_per_sec":7967500.0,"converged":true,"conflict_classes_avg":2.80,"soa_heap_bytes":20480,"phase_nanos":{"select":20000,"apply":900000,"guards":2800000},"kernel_par_steps":{"apply":0,"guards":0}},
-    {"topology":"torus","n":1024,"threads":4,"steps":13,"moves":31870,"rounds":10,"seconds":0.003,"steps_per_sec":4333.3,"moves_per_sec":10623333.3,"converged":true,"conflict_classes_avg":2.80,"soa_heap_bytes":20480,"phase_nanos":{"select":18000,"apply":600000,"guards":2100000},"kernel_par_steps":{"apply":3,"guards":5}}
+    {"topology":"ring","n":1000,"steps":11,"moves":2894,"rounds":11,"seconds":0.000377,"steps_per_sec":29201.0,"moves_per_sec":7682506.0,"converged":true,"phase_nanos":{"select":7783,"apply":75238,"guards":273879}},
+    {"topology":"torus","n":1024,"steps":13,"moves":31870,"rounds":10,"seconds":0.004,"steps_per_sec":3250.0,"moves_per_sec":7967500.0,"converged":true,"phase_nanos":{"select":20000,"apply":900000,"guards":2800000}}
   ]
 }
 "#;
@@ -62,7 +60,7 @@ fn build_artifact_dir(dir: &Path, threads: usize) {
     set.inc("pipeline.moves", 9000);
     set.gauge_set("pipeline.enabled.last", 17);
     for v in [3, 5, 8, 8, 13, 21, 34] {
-        set.observe("pipeline.conflict_classes", v);
+        set.observe("pipeline.moves_per_step", v);
     }
     std::fs::write(
         dir.join("metrics.json"),
@@ -75,30 +73,18 @@ fn build_artifact_dir(dir: &Path, threads: usize) {
             step: 0,
             enabled: 6,
         },
-        TraceEvent::MovesApplied {
-            step: 0,
-            moves: 4,
-            conflict_classes: Some(2),
-        },
+        TraceEvent::MovesApplied { step: 0, moves: 4 },
         TraceEvent::StepStarted {
             step: 1,
             enabled: 3,
         },
-        TraceEvent::MovesApplied {
-            step: 1,
-            moves: 3,
-            conflict_classes: Some(1),
-        },
+        TraceEvent::MovesApplied { step: 1, moves: 3 },
         TraceEvent::RoundCompleted { step: 1, rounds: 1 },
         TraceEvent::StepStarted {
             step: 2,
             enabled: 1,
         },
-        TraceEvent::MovesApplied {
-            step: 2,
-            moves: 1,
-            conflict_classes: Some(1),
-        },
+        TraceEvent::MovesApplied { step: 2, moves: 1 },
         TraceEvent::RunEnded {
             steps: 3,
             moves: 8,
@@ -188,7 +174,7 @@ fn report_html_matches_golden() {
 }
 
 /// The acceptance criterion: the same artifact set produced at
-/// different intra-run thread counts renders to byte-identical HTML.
+/// different campaign worker counts renders to byte-identical HTML.
 #[test]
 fn report_is_byte_identical_across_thread_counts() {
     let one = scratch("t1");
@@ -218,7 +204,6 @@ fn report_contains_all_chart_anchors() {
         "id=\"chart-bounds\"",
         "id=\"chart-convergence\"",
         "id=\"chart-phases\"",
-        "id=\"chart-scaling\"",
         "id=\"chart-timeline\"",
         "id=\"history\"",
         "id=\"inventory\"",

@@ -1,18 +1,17 @@
 //! Footprint instrumentation for the `ssr-analyze` soundness audit.
 //!
-//! The staged step pipeline and its parallel kernels rest on three
-//! obligations every registered family must meet (DESIGN.md §11):
+//! The staged step pipeline rests on three obligations every
+//! registered family must meet (DESIGN.md §11):
 //!
 //! 1. **Locality** — guards and actions read nothing beyond the closed
 //!    neighborhood of the process being evaluated (§2.2 of the paper).
 //!    The incremental guard re-evaluation dirty-set is sound only
 //!    under this assumption.
 //! 2. **Non-adjacent commutativity** — moves at processes at distance
-//!    ≥ 2 have disjoint read/write footprints, the argument behind the
-//!    deterministic intra-run parallel kernels.
+//!    ≥ 2 have disjoint read/write footprints, the argument behind
+//!    applying every move of a step against the frozen configuration.
 //! 3. **RNG discipline** — every random draw of a step happens in the
-//!    sequential select phase; the apply and guard kernels are
-//!    draw-free at any thread count.
+//!    select phase; the apply and guard phases are draw-free.
 //!
 //! This module supplies the instrumentation seams and generic drivers:
 //! [`TrackedView`] records the exact node read set of every

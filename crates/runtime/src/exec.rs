@@ -89,7 +89,6 @@ use ssr_graph::{Graph, NodeId};
 use crate::algorithm::{Algorithm, RuleId};
 use crate::daemon::Daemon;
 use crate::simulator::{RunOutcome, Simulator, StepOutcome, TerminationReason};
-use crate::step::par::ParHooks;
 use crate::trace::TraceSink;
 
 /// A passive probe attached to an execution.
@@ -316,9 +315,6 @@ pub struct Execution<'e, 'g, A: Algorithm, O = NoObserver, P = NoPredicate<A>> {
     cap: u64,
     observer: O,
     predicate: Option<P>,
-    /// `Some(hooks)` when [`Execution::intra_threads`] was called: the
-    /// pre-built kernels to install (inner `None` = explicit sequential).
-    intra: Option<Option<ParHooks<A>>>,
     /// `Some(sink)` when [`Execution::trace`] was called: installed on
     /// the simulator before the run (see [`crate::trace`]).
     trace: Option<Box<dyn TraceSink>>,
@@ -376,7 +372,6 @@ impl<'e, 'g, A: Algorithm> Execution<'e, 'g, A> {
             cap: u64::MAX,
             observer: NoObserver,
             predicate: None,
-            intra: None,
             trace: None,
         }
     }
@@ -388,7 +383,6 @@ impl<'e, 'g, A: Algorithm> Execution<'e, 'g, A> {
             cap: u64::MAX,
             observer: NoObserver,
             predicate: None,
-            intra: None,
             trace: None,
         }
     }
@@ -467,20 +461,6 @@ impl<'e, 'g, A: Algorithm, O, P> Execution<'e, 'g, A, O, P> {
         self
     }
 
-    /// Runs the step pipeline's apply and guard kernels on `threads`
-    /// scoped worker threads (1 or 0 = sequential; the default). Works
-    /// on fresh and resumed executions alike, and is byte-identical to
-    /// sequential at any thread count — see
-    /// [`Simulator::set_intra_threads`].
-    pub fn intra_threads(mut self, threads: usize) -> Self
-    where
-        A: Sync,
-        A::State: Send + Sync,
-    {
-        self.intra = Some(crate::step::par::hooks::<A>(threads));
-        self
-    }
-
     /// Installs a [`TraceSink`] on the simulator for this run: the step
     /// pipeline emits the typed event stream documented in
     /// [`crate::trace`]. On a resumed execution the sink stays
@@ -503,7 +483,6 @@ impl<'e, 'g, A: Algorithm, O, P> Execution<'e, 'g, A, O, P> {
             cap: self.cap,
             observer: (self.observer, observer),
             predicate: self.predicate,
-            intra: self.intra,
             trace: self.trace,
         }
     }
@@ -520,7 +499,6 @@ impl<'e, 'g, A: Algorithm, O, P> Execution<'e, 'g, A, O, P> {
             cap: self.cap,
             observer: self.observer,
             predicate: Some(predicate),
-            intra: self.intra,
             trace: self.trace,
         }
     }
@@ -568,14 +546,10 @@ where
             cap,
             mut observer,
             mut predicate,
-            intra,
             trace,
         } = self;
         match source {
             Source::Resumed(sim) => {
-                if let Some(hooks) = intra {
-                    sim.install_par(hooks);
-                }
                 if let Some(sink) = trace {
                     sim.set_trace_sink(sink);
                 }
@@ -583,9 +557,6 @@ where
             }
             fresh @ Source::Fresh { .. } => {
                 let mut sim = Self::build(fresh);
-                if let Some(hooks) = intra {
-                    sim.install_par(hooks);
-                }
                 if let Some(sink) = trace {
                     sim.set_trace_sink(sink);
                 }
@@ -607,7 +578,6 @@ where
             cap,
             mut observer,
             mut predicate,
-            intra,
             trace,
         } = self;
         assert!(
@@ -616,9 +586,6 @@ where
              already owns the simulator — use run() instead"
         );
         let mut sim = Self::build(source);
-        if let Some(hooks) = intra {
-            sim.install_par(hooks);
-        }
         if let Some(sink) = trace {
             sim.set_trace_sink(sink);
         }
@@ -941,36 +908,6 @@ mod tests {
         assert!(out.terminal && out.reached);
         assert_eq!(out.reason, TerminationReason::Terminal);
         assert_eq!(log.0.iter().filter(|e| *e == "terminal").count(), 1);
-    }
-
-    #[test]
-    fn intra_threads_preserves_observer_event_order() {
-        // The staged pipeline must fire on_move/on_step/on_round_complete
-        // in the exact sequential order at any thread count.
-        let g = generators::random_connected(20, 30, 3);
-        let run = |threads: usize| {
-            let mut log = EventLog::default();
-            let mut init = vec![false; 20];
-            init[0] = true;
-            let mut sim = Simulator::new(&g, Flood, init, Daemon::RandomSubset { p: 0.6 }, 13);
-            sim.set_par_threshold(0); // engage kernels even on tiny steps
-            let out = sim
-                .execution()
-                .intra_threads(threads)
-                .cap(10_000)
-                .observe(&mut log)
-                .run();
-            assert!(out.terminal);
-            log.0
-        };
-        let seq = run(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                run(threads),
-                seq,
-                "event order diverged at {threads} threads"
-            );
-        }
     }
 
     #[test]

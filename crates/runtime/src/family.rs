@@ -235,57 +235,6 @@ pub struct RunSeeds {
     pub fault: u64,
 }
 
-/// The execution budget of one [`Family::run`]: the step cap plus the
-/// intra-run worker count for the step pipeline's kernels.
-///
-/// `From<u64>` keeps call sites terse — `fam.run(g, init, daemon,
-/// seeds, 10_000.into(), None)` — while campaigns thread a per-scenario
-/// thread count through [`ExecBudget::with_intra_threads`].
-///
-/// # Examples
-///
-/// ```
-/// use ssr_runtime::ExecBudget;
-///
-/// let b = ExecBudget::steps(10_000);
-/// assert_eq!((b.cap, b.intra_threads), (10_000, 1));
-/// let b = b.with_intra_threads(4);
-/// assert_eq!(b.intra_threads, 4);
-/// assert_eq!(ExecBudget::from(500).cap, 500);
-/// assert_eq!(ExecBudget::steps(1).with_intra_threads(0).intra_threads, 1);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExecBudget {
-    /// Step cap for the measured run.
-    pub cap: u64,
-    /// Scoped worker threads for the apply/guard kernels (1 =
-    /// sequential; runs are byte-identical at any value).
-    pub intra_threads: usize,
-}
-
-impl ExecBudget {
-    /// A sequential budget of `cap` steps.
-    pub fn steps(cap: u64) -> Self {
-        ExecBudget {
-            cap,
-            intra_threads: 1,
-        }
-    }
-
-    /// Sets the intra-run worker count (clamped to ≥ 1).
-    #[must_use]
-    pub fn with_intra_threads(mut self, threads: usize) -> Self {
-        self.intra_threads = threads.max(1);
-        self
-    }
-}
-
-impl From<u64> for ExecBudget {
-    fn from(cap: u64) -> Self {
-        ExecBudget::steps(cap)
-    }
-}
-
 /// Flat, family-agnostic result of one [`Family::run`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FamilyRunOutcome {
@@ -468,8 +417,7 @@ pub trait Family: Send + Sync {
 
     /// Runs one scenario to completion: builds the initial
     /// configuration per `init`, drives the run under `daemon` within
-    /// `budget.cap` steps (on `budget.intra_threads` intra-run
-    /// workers), and reports the flat outcome with the bound-check
+    /// `cap` steps, and reports the flat outcome with the bound-check
     /// verdict filled in.
     fn run(
         &self,
@@ -477,7 +425,7 @@ pub trait Family: Send + Sync {
         init: &InitPlan,
         daemon: &Daemon,
         seeds: RunSeeds,
-        budget: ExecBudget,
+        cap: u64,
         probe: Option<&mut dyn FamilyProbe>,
     ) -> FamilyRunOutcome;
 
@@ -1029,7 +977,7 @@ mod tests {
             _init: &InitPlan,
             daemon: &Daemon,
             seeds: RunSeeds,
-            budget: ExecBudget,
+            cap: u64,
             probe: Option<&mut dyn FamilyProbe>,
         ) -> FamilyRunOutcome {
             let mut init = vec![false; graph.node_count()];
@@ -1039,8 +987,7 @@ mod tests {
                 .init(init)
                 .daemon(daemon.clone())
                 .seed(seeds.sim)
-                .cap(budget.cap)
-                .intra_threads(budget.intra_threads)
+                .cap(cap)
                 .observe(&mut bridge)
                 .run_report();
             let mut out = FamilyRunOutcome::from_run(&report.outcome, report.sim.stats().steps);
@@ -1085,7 +1032,7 @@ mod tests {
                 _: &InitPlan,
                 _: &Daemon,
                 _: RunSeeds,
-                _: ExecBudget,
+                _: u64,
                 _: Option<&mut dyn FamilyProbe>,
             ) -> FamilyRunOutcome {
                 unimplemented!("never run in this test")
@@ -1126,7 +1073,7 @@ mod tests {
                 sim: 0,
                 fault: 0,
             },
-            ExecBudget::steps(1_000).with_intra_threads(2),
+            1_000,
             Some(&mut probe),
         );
         assert!(out.terminal && out.reached);

@@ -35,16 +35,12 @@
 //! [`RunOutcome`], and [`Simulator`] itself whenever the algorithm and
 //! its state are `Send`.
 //!
-//! Within one run, the [`step`](crate::Simulator::step) pipeline can
-//! additionally fan its apply and guard kernels out over a scoped
-//! thread pool ([`Simulator::set_intra_threads`] /
-//! [`Execution::intra_threads`], `ExecBudget::with_intra_threads` for
-//! families). Intra-run parallelism is **deterministic by
-//! construction**: all daemon and rule-choice RNG draws happen in the
-//! sequential select phase, kernels only read the frozen pre-step
-//! configuration, and results merge in a fixed order — so a run is
-//! byte-identical at any thread count, and across-run parallelism
-//! composes freely with it.
+//! Within one run, the [`step`](crate::Simulator::step) pipeline is
+//! sequential: select (every daemon and rule-choice RNG draw), apply
+//! against the frozen pre-step configuration, then guard
+//! re-evaluation over the movers' closed neighborhoods. Parallelism
+//! lives across runs only, so a run's result never depends on the
+//! batch layer's worker count.
 //!
 //! # Examples
 //!
@@ -88,7 +84,6 @@ pub mod fingerprint;
 pub mod report;
 pub mod rng;
 mod simulator;
-pub mod soa;
 mod step;
 pub mod trace;
 
@@ -102,12 +97,11 @@ pub use analysis::{
 pub use daemon::Daemon;
 pub use exec::{Execution, NoObserver, NoPredicate, Observer, RunReport};
 pub use family::{
-    AlgorithmSpec, Amount, Bounds, ExecBudget, ExploreFamily, Family, FamilyProbe, FamilyRegistry,
+    AlgorithmSpec, Amount, Bounds, ExploreFamily, Family, FamilyProbe, FamilyRegistry,
     FamilyRunOutcome, InitPlan, RunSeeds, Verdict,
 };
 pub use fingerprint::{Canon, Fingerprint, FpEncoder};
 pub use simulator::{RunOutcome, RunStats, Simulator, StepOutcome, TerminationReason};
-pub use soa::{AosColumns, ScalarColumns, StateColumns};
 pub use trace::{NoTrace, TraceEvent, TracePhase, TraceSink};
 
 // Re-export the graph handle: every API in this crate speaks `NodeId`.

@@ -35,8 +35,7 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 /// [`Xoshiro256StarStar::next_u64`], so the counter is an exact audit
 /// trail of randomness consumption. The step pipeline snapshots it at
 /// phase boundaries, which is how `ssr-analyze` *proves* that all
-/// draws happen in the sequential select phase (the RNG-discipline
-/// obligation behind deterministic intra-run parallelism).
+/// draws happen in the select phase (the RNG-discipline obligation).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Xoshiro256StarStar {
     s: [u64; 4],

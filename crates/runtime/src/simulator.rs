@@ -4,16 +4,13 @@
 use std::fmt;
 use std::time::Instant;
 
-use ssr_graph::coloring::ConflictPartitioner;
 use ssr_graph::{Bitset, Graph, NodeId};
 
 use crate::algorithm::{Algorithm, ConfigView, RuleId, RuleMask};
 use crate::daemon::Daemon;
 use crate::exec::Execution;
 use crate::rng::Xoshiro256StarStar;
-use crate::soa::StateColumns;
 use crate::step;
-use crate::step::par::ParHooks;
 use crate::trace::{TraceEvent, TracePhase, TraceSink};
 
 /// Execution counters (§2.4 time measures).
@@ -141,22 +138,14 @@ pub struct RunOutcome {
     pub reason: TerminationReason,
 }
 
-/// Minimum kernel input length before the installed parallel kernels
-/// kick in; below it, fork/join overhead dwarfs the work.
-const DEFAULT_PAR_THRESHOLD: usize = 2048;
-
 /// Composite-atomicity execution engine.
 ///
 /// Owns the configuration and drives the three-phase step pipeline
 /// (the `step` module): daemon selection and rule resolution, next-state
 /// computation against the frozen pre-step configuration, and guard
 /// re-evaluation over the movers' closed neighborhoods (incremental:
-/// only nodes whose guards can have changed are re-evaluated).
-///
-/// The apply and guard phases optionally run on a scoped thread pool
-/// ([`Simulator::set_intra_threads`]); results are merged in a
-/// deterministic order, so a run is **byte-identical** at any thread
-/// count. See the crate-level documentation for an end-to-end example.
+/// only nodes whose guards can have changed are re-evaluated). See the
+/// crate-level documentation for an end-to-end example.
 pub struct Simulator<'g, A: Algorithm> {
     graph: &'g Graph,
     algo: A,
@@ -168,8 +157,6 @@ pub struct Simulator<'g, A: Algorithm> {
     /// Enabled nodes as an indexed set (swap-remove list + position map).
     enabled_list: Vec<NodeId>,
     enabled_pos: Vec<u32>,
-    /// Enabled nodes as a bitset (SoA mirror of `enabled_pos != NOT_ENABLED`).
-    enabled_bits: Bitset,
     /// Steps each process has been continuously enabled (for `Aging`;
     /// empty unless the daemon needs it).
     waits: Vec<u32>,
@@ -183,13 +170,6 @@ pub struct Simulator<'g, A: Algorithm> {
     stats: RunStats,
     /// Whether per-node move counters are maintained (lazily allocated).
     detailed_stats: bool,
-    /// Installed parallel kernels (`None` = sequential).
-    par: Option<ParHooks<A>>,
-    /// Minimum kernel input length before `par` is used.
-    par_threshold: usize,
-    /// Conflict-partition diagnostics (enabled via `set_conflict_stats`).
-    conflict: Option<ConflictPartitioner>,
-    last_conflict_classes: Option<u32>,
     /// Installed trace sink (`None` = tracing disabled, the default;
     /// see [`crate::trace`] for the zero-cost contract).
     trace: Option<Box<dyn TraceSink>>,
@@ -237,7 +217,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
             masks: vec![RuleMask::NONE; n],
             enabled_list: Vec::with_capacity(n),
             enabled_pos: vec![NOT_ENABLED; n],
-            enabled_bits: Bitset::new(n),
             waits: if track_waits { vec![0; n] } else { Vec::new() },
             track_waits,
             front: Bitset::new(n),
@@ -246,10 +225,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
             rr_cursor: 0,
             stats: RunStats::new(rules),
             detailed_stats: true,
-            par: None,
-            par_threshold: DEFAULT_PAR_THRESHOLD,
-            conflict: None,
-            last_conflict_classes: None,
             trace: None,
             last_phase_draws: [0; 3],
             selected: Vec::new(),
@@ -272,65 +247,12 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         self.random_rule_choice = random;
     }
 
-    /// Runs the apply and guard kernels on `threads` scoped worker
-    /// threads (1 or 0 restores sequential execution). Runs are
-    /// byte-identical at any thread count: same states, counters, RNG
-    /// stream, and observer event order.
-    ///
-    /// Kernels only engage when a step's work exceeds the threshold
-    /// ([`Simulator::set_par_threshold`]).
-    pub fn set_intra_threads(&mut self, threads: usize)
-    where
-        A: Sync,
-        A::State: Send + Sync,
-    {
-        self.install_par(step::par::hooks::<A>(threads));
-    }
-
-    /// The configured intra-run worker count (1 = sequential).
-    pub fn intra_threads(&self) -> usize {
-        self.par.map_or(1, |h| h.threads)
-    }
-
-    /// Minimum kernel input length (selected moves, refresh-set size)
-    /// before the installed parallel kernels are used; below it the
-    /// sequential path runs. Set 0 to force the parallel path (tests).
-    pub fn set_par_threshold(&mut self, threshold: usize) {
-        self.par_threshold = threshold;
-    }
-
-    /// Installs pre-built kernels without `Sync` bounds (the bounds
-    /// were paid when the hooks were built).
-    pub(crate) fn install_par(&mut self, hooks: Option<ParHooks<A>>) {
-        self.par = hooks;
-    }
-
     /// Enables or disables per-node move counters (`moves_per_process`,
     /// `moves_per_process_rule`). On by default; switch off for scale
     /// runs where nothing reads them — aggregate counters (steps,
     /// moves, rounds, per-rule moves) are always maintained.
     pub fn set_detailed_stats(&mut self, detailed: bool) {
         self.detailed_stats = detailed;
-    }
-
-    /// Enables conflict-partition diagnostics: each step greedily
-    /// colors the selected set's induced subgraph and records the
-    /// class count ([`Simulator::last_conflict_classes`]).
-    pub fn set_conflict_stats(&mut self, enabled: bool) {
-        if enabled {
-            if self.conflict.is_none() {
-                self.conflict = Some(ConflictPartitioner::new(self.graph.node_count()));
-            }
-        } else {
-            self.conflict = None;
-            self.last_conflict_classes = None;
-        }
-    }
-
-    /// Conflict-free class count of the most recent step's selected
-    /// set, when diagnostics are on ([`Simulator::set_conflict_stats`]).
-    pub fn last_conflict_classes(&self) -> Option<u32> {
-        self.last_conflict_classes
     }
 
     /// Installs a [`TraceSink`]: every subsequent step emits the typed
@@ -380,18 +302,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         ConfigView::new(self.graph, &self.states)
     }
 
-    /// Transposes the current configuration into struct-of-arrays
-    /// columns (see [`crate::soa`]); `cols` is cleared first.
-    pub fn snapshot_columns<C>(&self, cols: &mut C)
-    where
-        C: StateColumns<State = A::State>,
-    {
-        cols.clear();
-        for s in &self.states {
-            cols.push(s);
-        }
-    }
-
     /// Execution counters so far.
     pub fn stats(&self) -> &RunStats {
         &self.stats
@@ -423,11 +333,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         out.clear();
         out.extend_from_slice(&self.enabled_list);
         out.sort_unstable();
-    }
-
-    /// Enabled processes as a bitset (one bit per node).
-    pub fn enabled_bits(&self) -> &Bitset {
-        &self.enabled_bits
     }
 
     /// The enabled-rule mask of `u` in the current configuration.
@@ -509,7 +414,7 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         };
 
         // Phase 1 (select): daemon choice + rule resolution. Owns every
-        // RNG draw of the step; always sequential.
+        // RNG draw of the step.
         let draws_at_start = self.rng.draws();
         let mut selected = std::mem::take(&mut self.selected);
         self.daemon.select(
@@ -527,14 +432,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
             &selected,
             &mut self.last_activated,
         );
-        if let Some(p) = self.conflict.as_mut() {
-            let k = p.partition(self.graph, &selected);
-            debug_assert!(
-                ssr_graph::coloring::is_conflict_free(self.graph, &selected, &p.classes(&selected)),
-                "conflict partition must split the selection into independent sets"
-            );
-            self.last_conflict_classes = Some(k);
-        }
         if let Some(clock) = phase_clock.as_mut() {
             let now = Instant::now();
             if let Some(t) = trace.as_deref_mut() {
@@ -542,7 +439,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
                     step: step_idx,
                     phase: TracePhase::Select,
                     nanos: now.duration_since(*clock).as_nanos() as u64,
-                    par: false,
                 });
             }
             *clock = now;
@@ -551,15 +447,12 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
 
         // Phase 2 (apply): next states against the *old* configuration.
         let mut next = std::mem::take(&mut self.next_buf);
-        let par = self.par_if(self.last_activated.len());
-        let apply_par = par.is_some();
         step::apply::compute_next_states(
             self.graph,
             &self.algo,
             &self.states,
             &self.last_activated,
             &mut next,
-            par,
         );
 
         // Merge: commit all writes in selection order (composite
@@ -588,7 +481,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
                     step: step_idx,
                     phase: TracePhase::Apply,
                     nanos: now.duration_since(*clock).as_nanos() as u64,
-                    par: apply_par,
                 });
             }
             *clock = now;
@@ -597,7 +489,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
             t.record(&TraceEvent::MovesApplied {
                 step: step_idx,
                 moves: self.last_activated.len() as u32,
-                conflict_classes: self.last_conflict_classes,
             });
         }
         let draws_after_apply = self.rng.draws();
@@ -615,15 +506,12 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
             &mut refresh,
         );
         let mut new_masks = std::mem::take(&mut self.mask_buf);
-        let par = self.par_if(refresh.len());
-        let guards_par = par.is_some();
         step::guards::compute_masks(
             self.graph,
             &self.algo,
             &self.states,
             &refresh,
             &mut new_masks,
-            par,
         );
         // Sequential, list-ordered transition pass keeps the enabled
         // set's internal order deterministic.
@@ -685,7 +573,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
                     step: step_idx,
                     phase: TracePhase::Guards,
                     nanos: clock.elapsed().as_nanos() as u64,
-                    par: guards_par,
                 });
             }
             t.record(&TraceEvent::EnabledSetSize {
@@ -737,14 +624,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
 
     // ---- internals ----
 
-    /// The installed kernels, when the work size warrants them.
-    fn par_if(&self, len: usize) -> Option<ParHooks<A>> {
-        match self.par {
-            Some(h) if len >= self.par_threshold => Some(h),
-            _ => None,
-        }
-    }
-
     fn recompute_all(&mut self) {
         let view = ConfigView::new(self.graph, &self.states);
         for u in self.graph.nodes() {
@@ -753,12 +632,10 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         }
         self.enabled_list.clear();
         self.enabled_pos.fill(NOT_ENABLED);
-        self.enabled_bits.clear();
         for u in self.graph.nodes() {
             if !self.masks[u.index()].is_empty() {
                 self.enabled_pos[u.index()] = self.enabled_list.len() as u32;
                 self.enabled_list.push(u);
-                self.enabled_bits.insert(u.index());
             }
         }
     }
@@ -777,7 +654,7 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
     }
 
     /// Installs a freshly computed mask, maintaining the enabled-set
-    /// index (list + positions + bitset) and wait counters.
+    /// index (list + positions) and wait counters.
     fn apply_mask(&mut self, u: NodeId, mask: RuleMask) {
         let was = !self.masks[u.index()].is_empty();
         let now = !mask.is_empty();
@@ -786,7 +663,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
             (false, true) => {
                 self.enabled_pos[u.index()] = self.enabled_list.len() as u32;
                 self.enabled_list.push(u);
-                self.enabled_bits.insert(u.index());
                 if self.track_waits {
                     self.waits[u.index()] = 0;
                 }
@@ -799,7 +675,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
                     self.enabled_pos[lastn.index()] = pos as u32;
                 }
                 self.enabled_pos[u.index()] = NOT_ENABLED;
-                self.enabled_bits.remove(u.index());
                 if self.track_waits {
                     self.waits[u.index()] = 0;
                 }
@@ -1012,68 +887,6 @@ mod tests {
     }
 
     #[test]
-    fn enabled_bits_mirror_enabled_list() {
-        let (init, g) = flood_path(5);
-        let mut sim = Simulator::new(&g, Flood, init, Daemon::Synchronous, 0);
-        loop {
-            let sorted: Vec<usize> = sim.enabled_bits().iter().collect();
-            let mut expected: Vec<usize> = sim
-                .enabled_nodes_sorted()
-                .iter()
-                .map(|u| u.index())
-                .collect();
-            expected.sort_unstable();
-            assert_eq!(sorted, expected);
-            if let StepOutcome::Terminal = sim.step() {
-                break;
-            }
-        }
-        assert_eq!(sim.enabled_bits().count(), 0);
-    }
-
-    #[test]
-    fn snapshot_columns_round_trips_configuration() {
-        use crate::soa::{AosColumns, StateColumns};
-        let (init, g) = flood_path(4);
-        let mut sim = Simulator::new(&g, Flood, init, Daemon::Synchronous, 0);
-        sim.step();
-        let mut cols = AosColumns::default();
-        sim.snapshot_columns(&mut cols);
-        assert_eq!(cols.to_states(), sim.states());
-    }
-
-    #[test]
-    fn intra_threads_run_is_byte_identical_to_sequential() {
-        let g = generators::random_connected(40, 60, 21);
-        let mut init = vec![false; 40];
-        init[0] = true;
-        let run = |threads: usize| {
-            let mut sim = Simulator::new(&g, Flood, init.clone(), Daemon::Synchronous, 7);
-            sim.set_intra_threads(threads);
-            sim.set_par_threshold(0); // engage kernels even on tiny steps
-            sim.execution().cap(10_000).run();
-            (sim.stats().clone(), sim.states().to_vec())
-        };
-        let seq = run(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(run(threads), seq, "divergence at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn conflict_stats_report_partition_classes() {
-        let (init, g) = flood_path(4);
-        let mut sim = Simulator::new(&g, Flood, init, Daemon::Synchronous, 0);
-        assert_eq!(sim.last_conflict_classes(), None);
-        sim.set_conflict_stats(true);
-        sim.step();
-        // One mover per flood step: a single conflict-free class.
-        assert_eq!(sim.last_conflict_classes(), Some(1));
-        sim.set_conflict_stats(false);
-        assert_eq!(sim.last_conflict_classes(), None);
-    }
-
-    #[test]
     fn inject_reactivates() {
         let (init, g) = flood_path(3);
         let mut sim = Simulator::new(&g, Flood, init, Daemon::Synchronous, 0);
@@ -1187,11 +1000,7 @@ mod tests {
                     step: 0,
                     enabled: 1
                 },
-                TraceEvent::MovesApplied {
-                    step: 0,
-                    moves: 1,
-                    conflict_classes: None
-                },
+                TraceEvent::MovesApplied { step: 0, moves: 1 },
                 TraceEvent::EnabledSetSize {
                     step: 0,
                     enabled: 1

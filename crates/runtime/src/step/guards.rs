@@ -4,16 +4,14 @@
 //! exactly the movers and their neighbors can change enabledness. The
 //! refresh set is collected in the canonical order (each mover, then
 //! its neighbors in adjacency order, first touch wins) and the masks
-//! are evaluated as a kernel over that list — masks depend only on the
-//! already-committed states, never on other masks, so the evaluation
-//! is order-free and parallelizes; the simulator then applies the
-//! resulting transitions sequentially in list order, which keeps the
+//! are evaluated over that list — masks depend only on the
+//! already-committed states, never on other masks. The simulator then
+//! applies the resulting transitions in list order, which keeps the
 //! enabled-set index byte-identical to the pre-pipeline engine.
 
 use ssr_graph::{Graph, NodeId};
 
 use crate::algorithm::{Algorithm, ConfigView, RuleId, RuleMask};
-use crate::step::par::ParHooks;
 
 /// Collects the deduplicated refresh set of a step into `out`
 /// (cleared first): each mover, then its neighbors in adjacency
@@ -43,20 +41,14 @@ pub(crate) fn collect_refresh_targets(
 }
 
 /// Evaluates the enabled mask of every node of `nodes` into `out`
-/// (cleared first; `out[i]` is the mask of `nodes[i]`). Runs on the
-/// installed kernel when `par` is set, else sequentially.
+/// (cleared first; `out[i]` is the mask of `nodes[i]`).
 pub(crate) fn compute_masks<A: Algorithm>(
     graph: &Graph,
     algo: &A,
     states: &[A::State],
     nodes: &[NodeId],
     out: &mut Vec<RuleMask>,
-    par: Option<ParHooks<A>>,
 ) {
-    if let Some(hooks) = par {
-        (hooks.masks)(hooks.threads, graph, algo, states, nodes, out);
-        return;
-    }
     out.clear();
     let view = ConfigView::new(graph, states);
     for &u in nodes {

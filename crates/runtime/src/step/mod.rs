@@ -1,32 +1,26 @@
 //! The staged step pipeline behind [`crate::Simulator::step`].
 //!
-//! A composite-atomicity step factors into three phases, each a
-//! kernel over flat per-node arrays:
+//! A composite-atomicity step factors into three phases, each a loop
+//! over flat per-node arrays:
 //!
 //! 1. **select** ([`select`]) — the daemon picks a non-empty subset of
 //!    the enabled set and each picked process resolves which of its
 //!    enabled rules fires. This phase owns *every* RNG draw of the
-//!    step, so it always runs sequentially; determinism follows.
+//!    step; determinism follows.
 //! 2. **apply** ([`apply`]) — every selected `(process, rule)` move
 //!    computes its next state against the frozen pre-step
 //!    configuration. Reads never see a write of the same step
-//!    (composite atomicity), so the moves are data-parallel by
-//!    construction; the merge commits them in selection order.
+//!    (composite atomicity); the merge commits the moves in selection
+//!    order.
 //! 3. **guards** ([`guards`]) — only the movers and their neighbors
 //!    can change enabledness (§2.2 guard locality), so guard
-//!    re-evaluation is a kernel over that refresh set on the CSR
-//!    adjacency, followed by a sequential, order-preserving update of
-//!    the enabled-set index.
+//!    re-evaluation walks that refresh set on the CSR adjacency,
+//!    followed by an order-preserving update of the enabled-set index.
 //!
-//! The parallel variants of the apply and guard kernels live in
-//! [`par`]; they run on a scoped thread pool and are **byte-identical**
-//! to the sequential path at any thread count: same states, same
-//! counters, same RNG stream, same observer event order. The
-//! commutativity argument (moves at non-adjacent processes commute;
-//! our pipeline never interleaves reads and writes at all) is spelled
-//! out in `DESIGN.md` §9.
+//! The commutativity argument (moves at non-adjacent processes
+//! commute; the pipeline never interleaves reads and writes at all) is
+//! spelled out in `DESIGN.md` §9.
 
 pub(crate) mod apply;
 pub(crate) mod guards;
-pub(crate) mod par;
 pub(crate) mod select;

@@ -2,9 +2,8 @@
 //!
 //! Daemon selection itself lives in [`crate::daemon`]; this module
 //! resolves which enabled rule each selected process fires. Both are
-//! the sequential head of the pipeline: they own every RNG draw of the
-//! step, so the random stream is identical no matter how the later
-//! phases are parallelized.
+//! the head of the pipeline: they own every RNG draw of the step, so
+//! the later phases never touch the random stream.
 
 use ssr_graph::NodeId;
 

@@ -94,10 +94,6 @@ pub enum TraceEvent {
         phase: TracePhase,
         /// Wall time in nanoseconds.
         nanos: u64,
-        /// Whether the installed parallel kernels ran this phase
-        /// (always `false` for `Select`, which is sequential by
-        /// design).
-        par: bool,
     },
     /// The step's moves were committed.
     MovesApplied {
@@ -105,10 +101,6 @@ pub enum TraceEvent {
         step: u64,
         /// Number of `(process, rule)` moves in the step.
         moves: u32,
-        /// Greedy conflict-partition class count of the selection,
-        /// when diagnostics are on
-        /// ([`Simulator::set_conflict_stats`](crate::Simulator::set_conflict_stats)).
-        conflict_classes: Option<u32>,
     },
     /// Enabled-set size after the step's guard refresh.
     EnabledSetSize {

@@ -15,7 +15,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
 use ssr_campaign::{engine, output, CacheLayer, CampaignObs, CheckpointWriter, RecordCache};
-use ssr_obs::progress::Progress;
+use ssr_obs::progress::{Progress, ProgressBus};
 
 use crate::jobs::{Job, JobPhase};
 
@@ -58,6 +58,26 @@ impl Store {
     }
 }
 
+/// Forwards the engine's progress to a job's bus, except `finish`:
+/// stream readers are released by [`run_job`] only once the job's
+/// final phase is stored, so a client that sees `/events` close never
+/// reads a status that still says `running`.
+struct UntilStored(ProgressBus);
+
+impl Progress for UntilStored {
+    fn begin(&mut self, total: usize) {
+        self.0.begin(total);
+    }
+
+    fn item_started(&mut self, worker: usize, index: usize, label: &str) {
+        self.0.item_started(worker, index, label);
+    }
+
+    fn item_done(&mut self, index: usize, label: &str, ok: bool) {
+        self.0.item_done(index, label, ok);
+    }
+}
+
 /// Runs one job to completion against the store, updating its phase,
 /// artifacts, and counters. Called from the orchestrator loop and from
 /// tests that want synchronous execution.
@@ -72,22 +92,27 @@ pub fn run_job(job: &Job, store: &Store, threads: usize) {
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let mut obs = CampaignObs::new()
             .with_metrics()
-            .with_progress(Box::new(bus));
+            .with_progress(Box::new(UntilStored(bus)));
         let records = engine::run_obs_cached(&campaign, threads, &mut obs, layer);
         let metrics = obs.take_metrics().expect("metrics channel was enabled");
         (records, metrics)
     }));
     match result {
         Ok((records, metrics)) => {
+            // Render before taking the job's lock: status reads wait on
+            // that lock, and rendering a large grid takes milliseconds.
             let counter = |key: &str| metrics.counter_value(key).unwrap_or(0);
+            let jsonl = output::jsonl(&records);
+            let csv = output::csv(&records);
+            let metrics_json = metrics.snapshot().to_json();
             job.with_outcome(|out| {
                 out.cache_hits = counter("campaign.cache_hits");
                 out.cache_misses = counter("campaign.cache_misses");
                 out.sim_steps = counter("pipeline.steps");
                 out.failed = counter("campaign.failed");
-                out.jsonl = Some(output::jsonl(&records));
-                out.csv = Some(output::csv(&records));
-                out.metrics_json = Some(metrics.snapshot().to_json());
+                out.jsonl = Some(jsonl);
+                out.csv = Some(csv);
+                out.metrics_json = Some(metrics_json);
             });
             job.set_phase(JobPhase::Done);
         }
@@ -98,11 +123,11 @@ pub fn run_job(job: &Job, store: &Store, threads: usize) {
                 .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
                 .unwrap_or_else(|| "campaign engine panicked".to_string());
             job.set_phase(JobPhase::Failed(msg));
-            // The engine never reached `finish`; release any readers
-            // blocked on the bus.
-            job.bus.clone().finish();
         }
     }
+    // Release the readers blocked on the bus now that the final phase
+    // is readable.
+    job.bus.clone().finish();
 }
 
 /// The orchestrator loop: drains the queue until every sender is
@@ -160,6 +185,32 @@ mod tests {
         );
         assert_eq!(steps2, 0, "warm run never touches the simulator");
         assert_eq!(jsonl1, jsonl2, "artifacts are byte-identical");
+    }
+
+    #[test]
+    fn the_bus_finishes_only_after_the_phase_is_stored() {
+        let board = JobBoard::new();
+        let store = Store::in_memory();
+        let job = board.submit("t", tiny("t"));
+        let reader = job.bus.clone();
+        let watched = job.clone();
+        // Follow the bus like an SSE reader and read the phase the
+        // moment the stream ends.
+        let watcher = std::thread::spawn(move || {
+            let mut cursor = 0;
+            loop {
+                let (_, next) = reader.events_since(cursor, std::time::Duration::from_secs(5));
+                cursor = next;
+                if reader.snapshot().finished {
+                    return watched.phase();
+                }
+            }
+        });
+        run_job(&job, &store, 2);
+        assert_eq!(watcher.join().unwrap(), JobPhase::Done);
+        let events = job.bus.events_since(0, std::time::Duration::ZERO).0;
+        let ends = events.iter().filter(|e| e.contains("\"end\"")).count();
+        assert_eq!(ends, 1, "exactly one end event: {events:?}");
     }
 
     #[test]

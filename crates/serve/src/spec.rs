@@ -24,7 +24,7 @@ use ssr_runtime::Daemon;
 pub const SCHEMA: &str = "ssr-campaign-spec/v1";
 
 /// Keys the v1 schema understands.
-const KNOWN_KEYS: [&str; 11] = [
+const KNOWN_KEYS: [&str; 10] = [
     "schema",
     "id",
     "topologies",
@@ -35,7 +35,6 @@ const KNOWN_KEYS: [&str; 11] = [
     "trials",
     "step_cap",
     "seed",
-    "intra_threads",
 ];
 
 /// Parses `text` as a `ssr-campaign-spec/v1` document.
@@ -114,9 +113,6 @@ pub fn parse(text: &str) -> Result<(String, Campaign), String> {
     if let Some(v) = lookup(members, "seed") {
         campaign = campaign.seed(v.as_u64().ok_or("spec: seed must be an unsigned integer")?);
     }
-    if let Some(v) = lookup(members, "intra_threads") {
-        campaign = campaign.intra_threads(parse_usizes(v, "intra_threads")?);
-    }
     Ok((id, campaign))
 }
 
@@ -168,14 +164,14 @@ mod tests {
         "algorithms":["unison-sdr","cfg-unison"],
         "daemons":["central","sync","subset(p=0.25)"],
         "inits":["arbitrary","tear(n/2)"],
-        "trials":2,"step_cap":500000,"seed":7,"intra_threads":[1,2]}"#;
+        "trials":2,"step_cap":500000,"seed":7}"#;
 
     #[test]
     fn full_spec_builds_the_whole_grid() {
         let (id, c) = parse(FULL).unwrap();
         assert_eq!(id, "full");
         assert_eq!(c.id(), "full");
-        assert_eq!(c.len(), 2 * 2 * 2 * 3 * 2 * 2 * 2);
+        assert_eq!(c.len(), 2 * 2 * 2 * 3 * 2 * 2);
         // Axis labels survive the round trip into scenarios.
         let labels: Vec<String> = c.scenarios().map(|sc| sc.topology.label()).collect();
         assert!(labels.iter().any(|l| l == "gnp(250e-3)"));
@@ -203,6 +199,10 @@ mod tests {
             ),
             (
                 r#"{"schema":"ssr-campaign-spec/v1","id":"x","typo":1}"#,
+                "unknown key",
+            ),
+            (
+                r#"{"schema":"ssr-campaign-spec/v1","id":"x","intra_threads":[1]}"#,
                 "unknown key",
             ),
             (

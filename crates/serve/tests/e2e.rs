@@ -121,7 +121,7 @@ fn the_whole_surface_works_over_tcp() {
     // The report carries the full chart-anchor inventory.
     let (status, report) = request(addr, "GET", &format!("/campaigns/{job}/report"), "");
     assert_eq!(status, 200);
-    for anchor in ["chart-bounds", "chart-convergence", "chart-scaling"] {
+    for anchor in ["chart-bounds", "chart-convergence"] {
         assert!(
             report.contains(&format!("id=\"{anchor}\"")),
             "missing {anchor}"
@@ -182,6 +182,30 @@ fn live_streaming_delivers_events_before_the_job_finishes() {
     // 1 begin + 16 items + 1 end, every line a data: chunk.
     assert_eq!(sse.matches("data: ").count(), 18, "{sse}");
     assert!(sse.contains("\"done\":16"));
+    // The stream closes only once the outcome is stored: the very
+    // first status read after it must already say done.
+    let (status, raw) = request(addr, "GET", "/campaigns/0001-live", "");
+    assert_eq!(status, 200);
+    assert!(body_of(&raw).contains("\"phase\":\"done\""), "{raw}");
+
+    let (_, _) = request(addr, "POST", "/shutdown", "");
+    running.join().unwrap().unwrap();
+}
+
+#[test]
+fn deeply_nested_json_is_a_400_and_the_server_survives() {
+    let server = Server::bind(ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let running = std::thread::spawn(move || server.run());
+
+    // 400 KB: under the body limit, far over any sane nesting depth.
+    let body = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+    let (status, raw) = request(addr, "POST", "/campaigns", &body);
+    assert_eq!(status, 400, "{}", &raw[..raw.len().min(200)]);
+    assert!(body_of(&raw).contains("nest"), "{raw}");
+    let (status, raw) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    assert!(body_of(&raw).starts_with("ok"));
 
     let (_, _) = request(addr, "POST", "/shutdown", "");
     running.join().unwrap().unwrap();

@@ -12,8 +12,8 @@ use ssr_runtime::analysis::{
 use ssr_runtime::exhaustive::ExploreOptions;
 use ssr_runtime::family::{
     explore_sample_seeds, explore_with_replay, stochastic_max_runs, AlgorithmSpec, Bounds,
-    ExecBudget, ExploreFamily, ExploreReport, Family, FamilyProbe, FamilyRunOutcome, InitPlan,
-    ProbeBridge, RunSeeds, StochasticMax, Verdict,
+    ExploreFamily, ExploreReport, Family, FamilyProbe, FamilyRunOutcome, InitPlan, ProbeBridge,
+    RunSeeds, StochasticMax, Verdict,
 };
 use ssr_runtime::rng::Xoshiro256StarStar;
 use ssr_runtime::{Algorithm, Daemon, Simulator};
@@ -94,7 +94,7 @@ impl Family for UnisonSdrFamily {
         init: &InitPlan,
         daemon: &Daemon,
         seeds: RunSeeds,
-        budget: ExecBudget,
+        cap: u64,
         probe: Option<&mut dyn FamilyProbe>,
     ) -> FamilyRunOutcome {
         let nn = graph.node_count() as u64;
@@ -116,8 +116,7 @@ impl Family for UnisonSdrFamily {
         bridge.install_trace(&mut sim);
         let out = sim
             .execution()
-            .cap(budget.cap)
-            .intra_threads(budget.intra_threads)
+            .cap(cap)
             .observe(&mut bridge)
             .until(|gr, st| check.is_normal_config(gr, st))
             .run();
@@ -270,7 +269,7 @@ impl Family for UnisonFamily {
         init: &InitPlan,
         daemon: &Daemon,
         seeds: RunSeeds,
-        budget: ExecBudget,
+        cap: u64,
         probe: Option<&mut dyn FamilyProbe>,
     ) -> FamilyRunOutcome {
         let nn = graph.node_count() as u64;
@@ -296,8 +295,7 @@ impl Family for UnisonFamily {
         bridge.install_trace(&mut sim);
         let out = sim
             .execution()
-            .cap(budget.cap)
-            .intra_threads(budget.intra_threads)
+            .cap(cap)
             .observe(&mut bridge)
             .until(|gr, st| spec::safety_holds(gr, st, period))
             .run();
@@ -366,7 +364,7 @@ mod tests {
                 &init,
                 &Daemon::RandomSubset { p: 0.5 },
                 seeds(),
-                2_000_000.into(),
+                2_000_000,
                 None,
             );
             assert_eq!(out.verdict, Verdict::Pass, "{init:?}: {out:?}");
@@ -395,7 +393,7 @@ mod tests {
             &InitPlan::Normal,
             &Daemon::Central,
             seeds(),
-            100_000.into(),
+            100_000,
             None,
         );
         assert!(out.reached, "γ_init satisfies the spec instantly");
@@ -415,7 +413,7 @@ mod tests {
             &InitPlan::Tear { gap: Amount::HalfN },
             &Daemon::Central,
             seeds(),
-            200_000.into(),
+            200_000,
             None,
         );
         assert!(!out.reached, "{out:?}");

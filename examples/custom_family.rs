@@ -209,7 +209,6 @@ fn main() {
             trial: 0,
             seed: 0xE13,
             step_cap: 1_000_000,
-            intra_threads: 1,
         };
         let exact = explore_scenario_in(&registry, &sc, &opts).expect("cooldown explores");
         let stoch = stochastic_max_in(&registry, &sc, &opts).expect("cooldown explores");
