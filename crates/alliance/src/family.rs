@@ -11,12 +11,12 @@ use ssr_runtime::analysis::{
 };
 use ssr_runtime::exhaustive::ExploreOptions;
 use ssr_runtime::family::{
-    explore_sample_seeds, explore_with_replay, stochastic_max_runs, AlgorithmSpec, Bounds,
-    ExploreFamily, ExploreReport, Family, FamilyProbe, FamilyRunOutcome, InitPlan, ProbeBridge,
-    RunSeeds, StochasticMax, Verdict,
+    explore_sample_seeds, explore_with_replay, run_traced, stochastic_max_runs, AlgorithmSpec,
+    Bounds, ExploreFamily, ExploreReport, Family, FamilyRunOutcome, InitPlan, RunSeeds,
+    StochasticMax, Verdict,
 };
 use ssr_runtime::rng::Xoshiro256StarStar;
-use ssr_runtime::{Algorithm, ConfigView, Daemon, Simulator};
+use ssr_runtime::{Algorithm, ConfigView, Daemon, Simulator, TraceSink};
 
 use crate::fga::{fga_sdr, FgaSdr};
 use crate::presets::PresetSpec;
@@ -117,7 +117,7 @@ impl Family for FgaSdrFamily {
         daemon: &Daemon,
         seeds: RunSeeds,
         cap: u64,
-        probe: Option<&mut dyn FamilyProbe>,
+        trace: &mut Option<Box<dyn TraceSink>>,
     ) -> FamilyRunOutcome {
         let fga = self
             .preset
@@ -129,16 +129,10 @@ impl Family for FgaSdrFamily {
             InitPlan::Normal => algo.initial_config(graph),
             _ => algo.arbitrary_config(graph, seeds.init),
         };
-        let mut bridge = ProbeBridge::new(probe);
         let mut sim = Simulator::new(graph, algo, init_cfg, daemon.clone(), seeds.sim);
-        bridge.install_trace(&mut sim);
-        let out = sim
-            .execution()
-            .cap(cap)
-            .observe(&mut verdict_probe)
-            .observe(&mut bridge)
-            .run();
-        bridge.collect_trace(&mut sim);
+        let out = run_traced(&mut sim, trace, |sim| {
+            sim.execution().cap(cap).observe(&mut verdict_probe).run()
+        });
         let mut fo = FamilyRunOutcome::from_run(&out, sim.stats().steps);
         fo.max_moves_per_process = sim.stats().max_moves_per_process();
         let v = verdict_probe.into_verdict().expect("sampled at run end");
@@ -331,7 +325,7 @@ impl Family for FgaStandaloneFamily {
         daemon: &Daemon,
         seeds: RunSeeds,
         cap: u64,
-        probe: Option<&mut dyn FamilyProbe>,
+        trace: &mut Option<Box<dyn TraceSink>>,
     ) -> FamilyRunOutcome {
         let fga = self
             .preset
@@ -341,16 +335,10 @@ impl Family for FgaStandaloneFamily {
         let algo = Standalone::new(fga);
         // The standalone theorems quantify over γ_init only.
         let init_cfg = algo.initial_config(graph);
-        let mut bridge = ProbeBridge::new(probe);
         let mut sim = Simulator::new(graph, algo, init_cfg, daemon.clone(), seeds.sim);
-        bridge.install_trace(&mut sim);
-        let out = sim
-            .execution()
-            .cap(cap)
-            .observe(&mut verdict_probe)
-            .observe(&mut bridge)
-            .run();
-        bridge.collect_trace(&mut sim);
+        let out = run_traced(&mut sim, trace, |sim| {
+            sim.execution().cap(cap).observe(&mut verdict_probe).run()
+        });
         let mut fo = FamilyRunOutcome::from_run(&out, sim.stats().steps);
         fo.max_moves_per_process = sim.stats().max_moves_per_process();
         let v = verdict_probe.into_verdict().expect("sampled at run end");
@@ -423,7 +411,7 @@ mod tests {
                 &Daemon::RandomSubset { p: 0.5 },
                 seeds(),
                 2_000_000,
-                None,
+                &mut None,
             ),
             FgaStandaloneFamily::new(PresetSpec::Domination).run(
                 &g,
@@ -431,7 +419,7 @@ mod tests {
                 &Daemon::RandomSubset { p: 0.5 },
                 seeds(),
                 2_000_000,
-                None,
+                &mut None,
             ),
         ] {
             assert_eq!(out.verdict, Verdict::Pass, "{out:?}");

@@ -16,10 +16,9 @@ use ssr_runtime::analysis::{
     audit_runs, collect_footprints, rule_names, AnalyzeFamily, AnalyzeOptions, GraphAnalysis,
     RngAudit,
 };
-use ssr_runtime::family::ProbeBridge;
 use ssr_runtime::{
-    Algorithm, Daemon, Execution, Family, FamilyProbe, FamilyRunOutcome, InitPlan, RuleId,
-    RuleMask, RunSeeds, StateView,
+    run_traced, Algorithm, Daemon, Family, FamilyRunOutcome, InitPlan, RuleId, RuleMask, RunSeeds,
+    Simulator, StateView, TraceSink,
 };
 
 // ---------------------------------------------------------------------
@@ -94,19 +93,13 @@ impl Family for FarSightFamily {
         daemon: &Daemon,
         seeds: RunSeeds,
         cap: u64,
-        probe: Option<&mut dyn FamilyProbe>,
+        trace: &mut Option<Box<dyn TraceSink>>,
     ) -> FamilyRunOutcome {
         let mut init = vec![false; graph.node_count()];
         init[0] = true;
-        let mut bridge = ProbeBridge::new(probe);
-        let report = Execution::of(graph, FarSight)
-            .init(init)
-            .daemon(daemon.clone())
-            .seed(seeds.sim)
-            .cap(cap)
-            .observe(&mut bridge)
-            .run_report();
-        FamilyRunOutcome::from_run(&report.outcome, report.sim.stats().steps)
+        let mut sim = Simulator::new(graph, FarSight, init, daemon.clone(), seeds.sim);
+        let out = run_traced(&mut sim, trace, |sim| sim.execution().cap(cap).run());
+        FamilyRunOutcome::from_run(&out, sim.stats().steps)
     }
 
     fn analysis(&self) -> Option<&dyn AnalyzeFamily> {
@@ -189,18 +182,12 @@ impl Family for ShadowedPairFamily {
         daemon: &Daemon,
         seeds: RunSeeds,
         cap: u64,
-        probe: Option<&mut dyn FamilyProbe>,
+        trace: &mut Option<Box<dyn TraceSink>>,
     ) -> FamilyRunOutcome {
         let init = vec![0u8; graph.node_count()];
-        let mut bridge = ProbeBridge::new(probe);
-        let report = Execution::of(graph, ShadowedPair)
-            .init(init)
-            .daemon(daemon.clone())
-            .seed(seeds.sim)
-            .cap(cap)
-            .observe(&mut bridge)
-            .run_report();
-        FamilyRunOutcome::from_run(&report.outcome, report.sim.stats().steps)
+        let mut sim = Simulator::new(graph, ShadowedPair, init, daemon.clone(), seeds.sim);
+        let out = run_traced(&mut sim, trace, |sim| sim.execution().cap(cap).run());
+        FamilyRunOutcome::from_run(&out, sim.stats().steps)
     }
 
     fn analysis(&self) -> Option<&dyn AnalyzeFamily> {
@@ -289,7 +276,7 @@ mod tests {
                 fault: 9,
             },
             1_000,
-            None,
+            &mut None,
         );
         assert!(out.terminal, "far-sight flood terminates");
     }

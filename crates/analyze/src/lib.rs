@@ -372,7 +372,7 @@ mod tests {
                 _: &ssr_runtime::Daemon,
                 _: ssr_runtime::RunSeeds,
                 _: u64,
-                _: Option<&mut dyn ssr_runtime::FamilyProbe>,
+                _: &mut Option<Box<dyn ssr_runtime::TraceSink>>,
             ) -> ssr_runtime::FamilyRunOutcome {
                 unimplemented!("never run here")
             }

@@ -13,11 +13,10 @@ use ssr_runtime::analysis::{
     audit_runs, collect_footprints, AnalyzeFamily, AnalyzeOptions, GraphAnalysis, RngAudit,
 };
 use ssr_runtime::family::{
-    explore_sample_seeds, AlgorithmSpec, Family, FamilyProbe, FamilyRunOutcome, InitPlan,
-    ProbeBridge, RunSeeds,
+    explore_sample_seeds, run_traced, AlgorithmSpec, Family, FamilyRunOutcome, InitPlan, RunSeeds,
 };
 use ssr_runtime::rng::Xoshiro256StarStar;
-use ssr_runtime::{Daemon, Simulator};
+use ssr_runtime::{Daemon, Simulator, TraceSink};
 use ssr_unison::workloads::unison_tear_plain;
 use ssr_unison::{spec, Unison};
 
@@ -74,7 +73,7 @@ impl Family for CfgUnisonFamily {
         daemon: &Daemon,
         seeds: RunSeeds,
         cap: u64,
-        probe: Option<&mut dyn FamilyProbe>,
+        trace: &mut Option<Box<dyn TraceSink>>,
     ) -> FamilyRunOutcome {
         let nn = graph.node_count() as u64;
         let cfg = CfgUnison::for_graph(graph);
@@ -95,15 +94,12 @@ impl Family for CfgUnisonFamily {
             );
             sim.reset_stats();
         }
-        let mut bridge = ProbeBridge::new(probe);
-        bridge.install_trace(&mut sim);
-        let out = sim
-            .execution()
-            .cap(cap)
-            .observe(&mut bridge)
-            .until(|gr, st| spec::safety_holds(gr, st, period))
-            .run();
-        bridge.collect_trace(&mut sim);
+        let out = run_traced(&mut sim, trace, |sim| {
+            sim.execution()
+                .cap(cap)
+                .until(|gr, st| spec::safety_holds(gr, st, period))
+                .run()
+        });
         let mut fo = FamilyRunOutcome::from_run(&out, sim.stats().steps);
         fo.max_moves_per_process = sim.stats().max_moves_per_process();
         // No closed-form bound: blowing the cap is a finding, not a
@@ -189,7 +185,7 @@ impl Family for MonoResetFamily {
         daemon: &Daemon,
         seeds: RunSeeds,
         cap: u64,
-        probe: Option<&mut dyn FamilyProbe>,
+        trace: &mut Option<Box<dyn TraceSink>>,
     ) -> FamilyRunOutcome {
         let nn = graph.node_count() as u64;
         let mono = MonoReset::new(graph, Unison::for_graph(graph), NodeId(0));
@@ -210,15 +206,12 @@ impl Family for MonoResetFamily {
             );
             sim.reset_stats();
         }
-        let mut bridge = ProbeBridge::new(probe);
-        bridge.install_trace(&mut sim);
-        let out = sim
-            .execution()
-            .cap(cap)
-            .observe(&mut bridge)
-            .until(|gr, st| check.is_normal_config(gr, st))
-            .run();
-        bridge.collect_trace(&mut sim);
+        let out = run_traced(&mut sim, trace, |sim| {
+            sim.execution()
+                .cap(cap)
+                .until(|gr, st| check.is_normal_config(gr, st))
+                .run()
+        });
         let mut fo = FamilyRunOutcome::from_run(&out, sim.stats().steps);
         fo.max_moves_per_process = sim.stats().max_moves_per_process();
         fo
@@ -272,7 +265,7 @@ mod tests {
             &Daemon::RandomSubset { p: 0.5 },
             seeds(),
             2_000_000,
-            None,
+            &mut None,
         );
         assert_eq!(out.verdict, Verdict::NoBound);
         assert!(out.reached, "small rings recover within the cap");
@@ -289,7 +282,7 @@ mod tests {
             &Daemon::RandomSubset { p: 0.5 },
             seeds(),
             2_000_000,
-            None,
+            &mut None,
         );
         assert_eq!(out.verdict, Verdict::NoBound);
         assert!(out.reached, "{out:?}");

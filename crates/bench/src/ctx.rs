@@ -14,15 +14,13 @@
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use ssr_campaign::obs::scenario_label;
+use ssr_campaign::obs::{fold_scenario_sink, scenario_label, scenario_sink, trace_file};
 use ssr_campaign::{
-    engine, CacheLayer, Campaign, CampaignObs, CheckpointWriter, RecordCache, Scenario,
+    engine, CacheLayer, Campaign, CampaignObs, CheckpointWriter, RecordCache, RunOpts, Scenario,
     ScenarioRecord,
 };
 use ssr_obs::metrics::{MetricsSet, MetricsSnapshot};
-use ssr_obs::pipeline::{CompositeSink, PipelineMetrics};
 use ssr_obs::progress::{Progress, StderrProgress};
-use ssr_obs::trace::JsonlSink;
 use ssr_runtime::{Algorithm, Simulator};
 
 /// Execution context for one `experiments` invocation.
@@ -134,10 +132,6 @@ impl ExpCtx {
         })
     }
 
-    fn wants_obs(&self) -> bool {
-        self.progress || self.metrics.is_some() || self.trace_dir.is_some()
-    }
-
     fn campaign_trace_dir(&self, campaign_id: &str) -> Option<PathBuf> {
         let dir = self.trace_dir.as_ref()?.join(campaign_id);
         // A directory that cannot be created degrades to "no traces":
@@ -161,12 +155,6 @@ impl ExpCtx {
     /// Drains `campaign` through the standard registry —
     /// [`engine::run`] with whatever channels this context enables.
     pub fn run(&self, campaign: &Campaign) -> Vec<ScenarioRecord> {
-        let layer = self.cache_layer();
-        if !self.wants_obs() && layer.is_none() {
-            let records = engine::run(campaign, self.threads);
-            self.note_report(campaign.id(), &records);
-            return records;
-        }
         let mut obs = CampaignObs::new();
         if self.progress {
             obs = obs.with_progress(Box::new(StderrProgress::new()));
@@ -181,10 +169,15 @@ impl ExpCtx {
         if let Some(dir) = self.campaign_trace_dir(campaign.id()) {
             obs = obs.with_trace_dir(dir);
         }
-        let records = match layer {
-            Some(layer) => engine::run_obs_cached(campaign, self.threads, &mut obs, layer),
-            None => engine::run_obs(campaign, self.threads, &mut obs),
-        };
+        let records = engine::run(
+            campaign,
+            RunOpts {
+                threads: self.threads,
+                obs: Some(&mut obs),
+                cache: self.cache_layer(),
+                ..RunOpts::default()
+            },
+        );
         if let (Some(agg), Some(folded)) = (&self.metrics, obs.take_metrics()) {
             agg.lock().expect("metrics poisoned").merge(&folded);
         }
@@ -230,19 +223,11 @@ impl ExpCtx {
         index: usize,
         sim: &mut Simulator<'_, A>,
     ) {
-        let metrics = self.metrics.as_ref().map(|_| {
-            if self.phase_timing {
-                PipelineMetrics::new()
-            } else {
-                PipelineMetrics::without_timing()
-            }
-        });
-        let file = self
+        let path = self
             .campaign_trace_dir(campaign_id)
-            .and_then(|dir| JsonlSink::create(dir.join(format!("trace-{index:05}.jsonl"))).ok());
-        let sink = CompositeSink::new(metrics, file);
-        if !sink.is_empty() {
-            sim.set_trace_sink(Box::new(sink));
+            .map(|dir| trace_file(&dir, index));
+        if let Some(sink) = scenario_sink(self.metrics.is_some(), self.phase_timing, path) {
+            sim.set_trace_sink(sink);
         }
     }
 
@@ -250,17 +235,8 @@ impl ExpCtx {
     /// metrics into the context aggregate. No-op when nothing was
     /// attached.
     pub fn collect<A: Algorithm>(&self, sim: &mut Simulator<'_, A>) {
-        let Some(mut sink) = sim.take_trace_sink() else {
-            return;
-        };
-        sink.flush();
-        let Some(composite) = sink
-            .as_any_mut()
-            .and_then(|a| a.downcast_mut::<CompositeSink>())
-        else {
-            return;
-        };
-        if let (Some(folded), Some(agg)) = (composite.take_metrics(), &self.metrics) {
+        let folded = sim.take_trace_sink().and_then(fold_scenario_sink);
+        if let (Some(folded), Some(agg)) = (folded, &self.metrics) {
             agg.lock().expect("metrics poisoned").merge(&folded);
         }
     }

@@ -122,13 +122,28 @@ impl Campaign {
     }
 
     /// Total number of scenarios in the grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grid size overflows `usize` (see
+    /// [`Campaign::checked_len`]).
     pub fn len(&self) -> usize {
-        self.topologies.len()
-            * self.sizes.len()
-            * self.algorithms.len()
-            * self.daemons.len()
-            * self.inits.len()
-            * self.trials as usize
+        self.checked_len()
+            .expect("campaign grid size overflows usize")
+    }
+
+    /// Total number of scenarios in the grid, or `None` when the axis
+    /// product overflows `usize`.
+    pub fn checked_len(&self) -> Option<usize> {
+        [
+            self.sizes.len(),
+            self.algorithms.len(),
+            self.daemons.len(),
+            self.inits.len(),
+            usize::try_from(self.trials).ok()?,
+        ]
+        .into_iter()
+        .try_fold(self.topologies.len(), usize::checked_mul)
     }
 
     /// Whether the grid is empty (never true: all axes are non-empty).

@@ -56,12 +56,11 @@ pub mod workloads;
 
 pub use cache::RecordCache;
 pub use checkpoint::CheckpointWriter;
-pub use engine::CacheLayer;
+pub use engine::{CacheLayer, RunOpts};
 pub use grid::Campaign;
 pub use obs::CampaignObs;
 pub use runner::{
-    run_scenario, run_scenario_in, run_scenario_probed, warm_up_and_corrupt_clocks, ScenarioRecord,
-    Verdict,
+    run_scenario, run_scenario_in, warm_up_and_corrupt_clocks, ScenarioRecord, Verdict,
 };
 pub use scenario::{AlgorithmSpec, Amount, InitPlan, Params, PresetSpec, Scenario, TopologySpec};
 

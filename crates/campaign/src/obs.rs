@@ -3,15 +3,20 @@
 //! without disturbing its determinism contract.
 //!
 //! [`CampaignObs`] bundles the three side channels; pass it to
-//! [`engine::run_obs`](crate::engine::run_obs). Observability is
+//! [`engine::run`](crate::engine::run) through
+//! [`RunOpts::obs`](crate::engine::RunOpts::obs). Observability is
 //! strictly read-only with respect to results: records produced with
-//! any combination of channels enabled are identical to a bare
-//! [`engine::run`](crate::engine::run) (pinned by
-//! `tests/obs_equivalence.rs`).
+//! any combination of channels enabled are identical to a bare run
+//! (pinned by `tests/obs_equivalence.rs`).
+//!
+//! A scenario is observed through one seam only: the
+//! [`TraceSink`] slot of `Family::run`. [`scenario_sink`] builds the
+//! sink the slot carries and [`fold_scenario_sink`] reads it back —
+//! the engine and directly driven experiment runners share both.
 //!
 //! Metric accumulation is lock-free by ownership: each worker folds
-//! its scenarios into a private [`MetricsSet`] and submits it to the
-//! shared [`MetricsHub`] exactly once, when the worker retires. The
+//! its scenarios into a private [`MetricsSet`], submitted to the
+//! shared [`MetricsHub`] exactly once, after the pool drains. The
 //! merged snapshot is deterministic across thread counts — counters
 //! and histograms are partition-independent sums.
 
@@ -20,8 +25,6 @@ use std::path::{Path, PathBuf};
 use ssr_obs::metrics::{MetricsHub, MetricsSet};
 use ssr_obs::pipeline::{CompositeSink, PipelineMetrics};
 use ssr_obs::progress::Progress;
-use ssr_obs::trace::JsonlSink;
-use ssr_runtime::family::FamilyProbe;
 use ssr_runtime::trace::TraceSink;
 
 use crate::scenario::Scenario;
@@ -79,11 +82,6 @@ impl CampaignObs {
         self
     }
 
-    /// Whether any channel needs a [`FamilyProbe`] built per scenario.
-    pub(crate) fn wants_probe(&self) -> bool {
-        self.metrics.is_some() || self.trace_dir.is_some()
-    }
-
     /// The merged metrics so far (`None` when metrics are off).
     pub fn metrics_snapshot(&self) -> Option<ssr_obs::metrics::MetricsSnapshot> {
         self.metrics.as_ref().map(|hub| hub.snapshot())
@@ -97,10 +95,14 @@ impl CampaignObs {
 
     /// The trace file path for scenario `index`, when tracing is on.
     pub fn trace_path(&self, index: usize) -> Option<PathBuf> {
-        self.trace_dir
-            .as_ref()
-            .map(|d| d.join(format!("trace-{index:05}.jsonl")))
+        self.trace_dir.as_deref().map(|d| trace_file(d, index))
     }
+}
+
+/// The trace file of scenario `index` under `dir`:
+/// `trace-<index>.jsonl`, zero-padded to five digits.
+pub fn trace_file(dir: &Path, index: usize) -> PathBuf {
+    dir.join(format!("trace-{index:05}.jsonl"))
 }
 
 /// The human label of one scenario, used in progress lines.
@@ -114,65 +116,38 @@ pub fn scenario_label(sc: &Scenario) -> String {
     )
 }
 
-/// The per-scenario [`FamilyProbe`]: hands a
-/// [`CompositeSink`](ssr_obs::pipeline::CompositeSink) to the family's
-/// measured execution and folds what comes back into the worker-local
-/// metrics.
-pub(crate) struct ObsProbe<'m> {
-    worker_metrics: Option<&'m mut MetricsSet>,
-    trace_path: Option<PathBuf>,
+/// The sink one scenario's measured run carries in its trace slot: a
+/// pipeline-metrics fold when `metrics` is on (per-phase wall time
+/// when `phase_timing` is too), fanned out with a JSONL trace file at
+/// `trace` when given — created on the run's first event, so skipped
+/// scenarios leave no file. `None` when no channel is on, so the run
+/// stays on its untraced path.
+pub fn scenario_sink(
+    metrics: bool,
     phase_timing: bool,
+    trace: Option<PathBuf>,
+) -> Option<Box<dyn TraceSink>> {
+    let metrics = metrics.then(|| {
+        if phase_timing {
+            PipelineMetrics::new()
+        } else {
+            PipelineMetrics::without_timing()
+        }
+    });
+    let sink = CompositeSink::new(metrics, trace);
+    if sink.is_empty() {
+        return None;
+    }
+    Some(Box::new(sink))
 }
 
-impl<'m> ObsProbe<'m> {
-    pub(crate) fn new(
-        worker_metrics: Option<&'m mut MetricsSet>,
-        trace_path: Option<PathBuf>,
-        phase_timing: bool,
-    ) -> Self {
-        ObsProbe {
-            worker_metrics,
-            trace_path,
-            phase_timing,
-        }
-    }
-}
-
-impl FamilyProbe for ObsProbe<'_> {
-    fn make_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        let metrics = self.worker_metrics.as_ref().map(|_| {
-            if self.phase_timing {
-                PipelineMetrics::new()
-            } else {
-                PipelineMetrics::without_timing()
-            }
-        });
-        // A trace file that cannot be created degrades to "no trace":
-        // observability must never fail the campaign.
-        let file = self
-            .trace_path
-            .as_ref()
-            .and_then(|p| JsonlSink::create(p).ok());
-        let sink = CompositeSink::new(metrics, file);
-        if sink.is_empty() {
-            return None;
-        }
-        Some(Box::new(sink))
-    }
-
-    fn collect_trace_sink(&mut self, mut sink: Box<dyn TraceSink>) {
-        let Some(obs) = sink
-            .as_any_mut()
-            .and_then(|a| a.downcast_mut::<CompositeSink>())
-        else {
-            return;
-        };
-        if let (Some(folded), Some(target)) =
-            (obs.take_metrics(), self.worker_metrics.as_deref_mut())
-        {
-            target.merge(&folded);
-        }
-    }
+/// Reads back a sink built by [`scenario_sink`] after its run: flushes
+/// the trace file and returns the folded pipeline metrics (`None` when
+/// the metrics channel was off).
+pub fn fold_scenario_sink(mut sink: Box<dyn TraceSink>) -> Option<MetricsSet> {
+    sink.as_any_mut()?
+        .downcast_mut::<CompositeSink>()?
+        .take_metrics()
 }
 
 #[cfg(test)]
@@ -201,24 +176,23 @@ mod tests {
 
     #[test]
     fn obs_probe_folds_metrics_through_the_sink_round_trip() {
-        let mut worker = MetricsSet::new();
-        let mut probe = ObsProbe::new(Some(&mut worker), None, false);
-        let mut sink = probe.make_trace_sink().expect("metrics channel is on");
+        let mut sink = scenario_sink(true, false, None).expect("metrics channel is on");
         assert!(!sink.wants_phase_timing(), "deterministic by default");
         sink.record(&TraceEvent::StepStarted {
             step: 0,
             enabled: 2,
         });
         sink.record(&TraceEvent::MovesApplied { step: 0, moves: 2 });
-        probe.collect_trace_sink(sink);
-        assert_eq!(worker.counter_value("pipeline.steps"), Some(1));
-        assert_eq!(worker.counter_value("pipeline.moves"), Some(2));
+        let folded = fold_scenario_sink(sink).expect("metrics were on");
+        assert_eq!(folded.counter_value("pipeline.steps"), Some(1));
+        assert_eq!(folded.counter_value("pipeline.moves"), Some(2));
+        let timed = scenario_sink(true, true, None).unwrap();
+        assert!(timed.wants_phase_timing());
     }
 
     #[test]
     fn probe_without_channels_installs_nothing() {
-        let mut probe = ObsProbe::new(None, None, false);
-        assert!(probe.make_trace_sink().is_none());
+        assert!(scenario_sink(false, true, None).is_none());
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! verdict) lives with the family in its home crate, not here.
 //! [`run_scenario_in`] is the same body against a caller-supplied
 //! registry, which is how user-registered families run campaigns
-//! without touching any workspace crate.
+//! without touching any workspace crate, and it carries the run's
+//! trace slot, which is how the observability layer ([`crate::obs`])
+//! watches a scenario.
 //!
 //! Custom probes (segment tracking, liveness windows, alliance
 //! verification columns) belong to *callers*: run a campaign through
@@ -18,12 +20,12 @@
 //! [`Scenario::seeds`] and [`TopologySpec::build`](crate::TopologySpec)
 //! so the determinism contract carries over — and attach
 //! `ssr_runtime::Observer`s to the `Execution` instead of hand-rolling
-//! a stepping loop. For family-agnostic probes there is also the
-//! type-erased [`FamilyProbe`](ssr_runtime::family::FamilyProbe) hook
-//! on `Family::run` itself.
+//! a stepping loop. Family-agnostic observation goes through the
+//! [`TraceSink`] slot of `Family::run` itself.
 
 use ssr_graph::{metrics, Graph};
-use ssr_runtime::family::{FamilyProbe, FamilyRegistry, FamilyRunOutcome, RunSeeds};
+use ssr_runtime::family::{FamilyRegistry, FamilyRunOutcome, RunSeeds};
+use ssr_runtime::trace::TraceSink;
 use ssr_runtime::TerminationReason;
 
 use crate::families;
@@ -137,26 +139,22 @@ impl ScenarioRecord {
 /// depends only on the scenario (never on which thread runs it or
 /// when).
 pub fn run_scenario(sc: Scenario) -> ScenarioRecord {
-    run_scenario_in(families::default_registry(), sc)
+    run_scenario_in(families::default_registry(), sc, &mut None)
 }
 
 /// [`run_scenario`] against a caller-supplied registry — the body is
 /// nothing but a lookup, an instantiability check, and the family's
 /// own `run`. Unresolvable or non-instantiable scenarios come back
 /// with [`Verdict::Skip`].
-pub fn run_scenario_in(registry: &FamilyRegistry, sc: Scenario) -> ScenarioRecord {
-    run_scenario_probed(registry, sc, None)
-}
-
-/// [`run_scenario_in`] with a [`FamilyProbe`] threaded through to the
-/// family's measured execution — how the observability layer
-/// ([`crate::obs`]) attaches trace sinks and metrics without touching
-/// the record. The record is identical to the probe-less run: probes
-/// observe, they never steer.
-pub fn run_scenario_probed(
+///
+/// A sink in `trace` is handed to the family's measured execution and
+/// comes back in the slot with everything it recorded (it stays
+/// untouched for skipped scenarios). The record is identical either
+/// way: sinks observe, they never steer.
+pub fn run_scenario_in(
     registry: &FamilyRegistry,
     sc: Scenario,
-    probe: Option<&mut dyn FamilyProbe>,
+    trace: &mut Option<Box<dyn TraceSink>>,
 ) -> ScenarioRecord {
     let [graph_seed, init_seed, sim_seed, fault_seed] = sc.seeds::<4>();
     let g = sc.topology.build(sc.n, graph_seed);
@@ -177,7 +175,7 @@ pub fn run_scenario_probed(
             fault: fault_seed,
         },
         sc.step_cap,
-        probe,
+        trace,
     );
     rec.apply(&out);
     rec
@@ -296,7 +294,11 @@ mod tests {
     #[test]
     fn custom_registries_drive_the_same_body() {
         let registry = families::standard_families();
-        let a = run_scenario_in(&registry, sc(families::unison_sdr(), InitPlan::Arbitrary));
+        let a = run_scenario_in(
+            &registry,
+            sc(families::unison_sdr(), InitPlan::Arbitrary),
+            &mut None,
+        );
         let b = run_scenario(sc(families::unison_sdr(), InitPlan::Arbitrary));
         assert_eq!(a, b);
     }

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use ssr_campaign::{
     engine, families, output, Amount, CacheLayer, Campaign, CampaignObs, InitPlan, RecordCache,
-    TopologySpec,
+    RunOpts, TopologySpec,
 };
 use ssr_runtime::Daemon;
 
@@ -40,7 +40,15 @@ fn run_cached(
         cache,
         checkpoint: None,
     };
-    let records = engine::run_obs_cached(campaign, threads, &mut obs, layer);
+    let records = engine::run(
+        campaign,
+        RunOpts {
+            threads,
+            obs: Some(&mut obs),
+            cache: Some(layer),
+            ..RunOpts::default()
+        },
+    );
     let metrics = obs.take_metrics().expect("metrics are on");
     (
         output::jsonl(&records),

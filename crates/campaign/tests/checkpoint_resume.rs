@@ -6,8 +6,8 @@
 use std::path::{Path, PathBuf};
 
 use ssr_campaign::{
-    checkpoint, engine, families, output, CacheLayer, Campaign, CampaignObs, CheckpointWriter,
-    RecordCache, TopologySpec,
+    checkpoint, engine, families, output, CacheLayer, Campaign, CheckpointWriter, RecordCache,
+    RunOpts, TopologySpec,
 };
 use ssr_runtime::Daemon;
 
@@ -36,12 +36,16 @@ fn temp_journal(tag: &str) -> PathBuf {
 
 fn run_journaled(campaign: &Campaign, path: &Path, cache: &RecordCache) -> String {
     let writer = CheckpointWriter::open(path).unwrap();
-    let mut obs = CampaignObs::new();
     let layer = CacheLayer {
         cache,
         checkpoint: Some(&writer),
     };
-    output::jsonl(&engine::run_obs_cached(campaign, 2, &mut obs, layer))
+    let opts = RunOpts {
+        threads: 2,
+        cache: Some(layer),
+        ..RunOpts::default()
+    };
+    output::jsonl(&engine::run(campaign, opts))
 }
 
 /// Simulates the kill at every interesting cut point: after the

@@ -4,8 +4,11 @@
 
 use std::path::PathBuf;
 
-use ssr_campaign::{engine, families, Campaign, CampaignObs, TopologySpec};
-use ssr_obs::progress::{JsonlProgress, Progress};
+use ssr_campaign::{
+    engine, families, Campaign, CampaignObs, RunOpts, ScenarioRecord, TopologySpec,
+};
+use ssr_obs::json;
+use ssr_obs::progress::ProgressBus;
 use ssr_obs::trace::validate_jsonl_line;
 use ssr_runtime::Daemon;
 
@@ -17,6 +20,17 @@ fn tiny() -> Campaign {
         .daemons(vec![Daemon::Central, Daemon::Synchronous])
         .trials(1)
         .step_cap(500_000)
+}
+
+fn observed_run(c: &Campaign, threads: usize, obs: &mut CampaignObs) -> Vec<ScenarioRecord> {
+    engine::run(
+        c,
+        RunOpts {
+            threads,
+            obs: Some(obs),
+            ..RunOpts::default()
+        },
+    )
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -35,12 +49,15 @@ fn obs_channels_do_not_change_records() {
     let bare = engine::run(&c, 2);
 
     let dir = scratch_dir("records");
+    let bus = ProgressBus::new();
     let mut obs = CampaignObs::new()
         .with_metrics()
         .with_trace_dir(&dir)
-        .with_progress(Box::new(JsonlProgress::new(std::io::sink())));
-    let observed = engine::run_obs(&c, 2, &mut obs);
+        .with_progress(Box::new(bus.clone()));
+    let observed = observed_run(&c, 2, &mut obs);
     assert_eq!(bare, observed, "obs channels must be read-only");
+    let snap = bus.snapshot();
+    assert!(snap.finished && snap.done == c.len() && snap.failed == 0);
 
     // Every scenario left a validating trace file behind.
     for i in 0..c.len() {
@@ -66,7 +83,7 @@ fn merged_metrics_are_deterministic_across_thread_counts() {
     let c = tiny();
     let snapshot_at = |threads: usize| {
         let mut obs = CampaignObs::new().with_metrics();
-        engine::run_obs(&c, threads, &mut obs);
+        observed_run(&c, threads, &mut obs);
         obs.metrics_snapshot().unwrap().to_json()
     };
     let seq = snapshot_at(1);
@@ -80,49 +97,22 @@ fn merged_metrics_are_deterministic_across_thread_counts() {
 
 #[test]
 fn progress_sees_every_scenario_exactly_once() {
-    #[derive(Default)]
-    struct CountingProgress {
-        begun: Option<usize>,
-        done: Vec<usize>,
-        finished: bool,
-    }
-    impl Progress for CountingProgress {
-        fn begin(&mut self, total: usize) {
-            self.begun = Some(total);
-        }
-        fn item_done(&mut self, index: usize, _label: &str, ok: bool) {
-            assert!(ok);
-            self.done.push(index);
-        }
-        fn finish(&mut self) {
-            self.finished = true;
-        }
-    }
-
-    // `run_obs` owns the reporter; recover it through a shared cell.
-    use std::sync::{Arc, Mutex};
-    #[derive(Clone, Default)]
-    struct Shared(Arc<Mutex<CountingProgress>>);
-    impl Progress for Shared {
-        fn begin(&mut self, total: usize) {
-            self.0.lock().unwrap().begin(total);
-        }
-        fn item_done(&mut self, index: usize, label: &str, ok: bool) {
-            self.0.lock().unwrap().item_done(index, label, ok);
-        }
-        fn finish(&mut self) {
-            self.0.lock().unwrap().finish();
-        }
-    }
-
     let c = tiny();
-    let shared = Shared::default();
-    let mut obs = CampaignObs::new().with_progress(Box::new(shared.clone()));
-    engine::run_obs(&c, 3, &mut obs);
-    let inner = shared.0.lock().unwrap();
-    assert_eq!(inner.begun, Some(c.len()));
-    assert!(inner.finished);
-    let mut done = inner.done.clone();
+    let bus = ProgressBus::new();
+    let mut obs = CampaignObs::new().with_progress(Box::new(bus.clone()));
+    observed_run(&c, 3, &mut obs);
+    let snap = bus.snapshot();
+    assert_eq!((snap.total, snap.done, snap.failed), (c.len(), c.len(), 0));
+    assert!(snap.finished);
+    let (events, _) = bus.events_since(0, std::time::Duration::ZERO);
+    assert_eq!(events.len(), c.len() + 2, "begin, one line per item, end");
+    let mut done: Vec<usize> = events[1..=c.len()]
+        .iter()
+        .map(|line| {
+            let event = json::parse(line).unwrap();
+            event.get("index").and_then(json::Value::as_u64).unwrap() as usize
+        })
+        .collect();
     done.sort_unstable();
     assert_eq!(done, (0..c.len()).collect::<Vec<_>>());
 }

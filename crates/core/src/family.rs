@@ -20,11 +20,11 @@ use ssr_runtime::analysis::{
 };
 use ssr_runtime::exhaustive::{ExploreOptions, ExploreState};
 use ssr_runtime::family::{
-    explore_sample_seeds, explore_with_replay, stochastic_max_runs, AlgorithmSpec, Bounds,
-    ExploreFamily, ExploreReport, Family, FamilyProbe, FamilyRunOutcome, InitPlan, ProbeBridge,
-    RunSeeds, StochasticMax, Verdict,
+    explore_sample_seeds, explore_with_replay, run_traced, stochastic_max_runs, AlgorithmSpec,
+    Bounds, ExploreFamily, ExploreReport, Family, FamilyRunOutcome, InitPlan, RunSeeds,
+    StochasticMax, Verdict,
 };
-use ssr_runtime::{Algorithm, Daemon, RunStats, Simulator};
+use ssr_runtime::{Algorithm, Daemon, RunStats, Simulator, TraceSink};
 
 use crate::input::ResetInput;
 use crate::sdr::{Sdr, RULE_C, RULE_R, RULE_RB, RULE_RF};
@@ -162,7 +162,7 @@ where
         daemon: &Daemon,
         seeds: RunSeeds,
         cap: u64,
-        probe: Option<&mut dyn FamilyProbe>,
+        trace: &mut Option<Box<dyn TraceSink>>,
     ) -> FamilyRunOutcome {
         let nn = graph.node_count() as u64;
         let sdr = self.instantiate(graph);
@@ -172,16 +172,13 @@ where
             _ => sdr.arbitrary_config(graph, seeds.init),
         };
         let check = self.instantiate(graph);
-        let mut bridge = ProbeBridge::new(probe);
         let mut sim = Simulator::new(graph, sdr, init, daemon.clone(), seeds.sim);
-        bridge.install_trace(&mut sim);
-        let out = sim
-            .execution()
-            .cap(cap)
-            .observe(&mut bridge)
-            .until(|gr, st| check.is_normal_config(gr, st))
-            .run();
-        bridge.collect_trace(&mut sim);
+        let out = run_traced(&mut sim, trace, |sim| {
+            sim.execution()
+                .cap(cap)
+                .until(|gr, st| check.is_normal_config(gr, st))
+                .run()
+        });
         let pp = max_sdr_moves_per_process(graph, sim.stats(), rc);
         let mut fo = FamilyRunOutcome::from_run(&out, sim.stats().steps);
         fo.max_moves_per_process = pp;
@@ -352,7 +349,7 @@ mod tests {
             &Daemon::RandomSubset { p: 0.5 },
             seeds(),
             2_000_000,
-            None,
+            &mut None,
         );
         assert_eq!(out.verdict, Verdict::Pass, "{out:?}");
         assert!(out.reached);
@@ -369,7 +366,7 @@ mod tests {
             &Daemon::Central,
             seeds(),
             100_000,
-            None,
+            &mut None,
         );
         assert_eq!(out.rounds, 0, "γ_init is already normal");
         assert_eq!(out.verdict, Verdict::Pass);
@@ -412,6 +409,13 @@ mod tests {
     fn run_panics_without_instantiability_check() {
         let fam = composed("never", |_| None::<BoundedCounter>);
         let g = generators::path(2);
-        let _ = fam.run(&g, &InitPlan::Normal, &Daemon::Central, seeds(), 10, None);
+        let _ = fam.run(
+            &g,
+            &InitPlan::Normal,
+            &Daemon::Central,
+            seeds(),
+            10,
+            &mut None,
+        );
     }
 }

@@ -7,6 +7,7 @@
 use std::any::Any;
 use std::fs::File;
 use std::io::BufWriter;
+use std::path::PathBuf;
 
 use ssr_runtime::trace::{TraceEvent, TraceSink};
 
@@ -58,11 +59,6 @@ impl PipelineMetrics {
             metrics: MetricsSet::new(),
             timing: false,
         }
-    }
-
-    /// The metrics folded so far.
-    pub fn metrics(&self) -> &MetricsSet {
-        &self.metrics
     }
 
     /// Consumes the sink into its metrics.
@@ -122,17 +118,27 @@ impl TraceSink for PipelineMetrics {
 pub struct CompositeSink {
     metrics: Option<PipelineMetrics>,
     file: Option<JsonlSink<BufWriter<File>>>,
+    /// A trace file still to be created, on the first event.
+    deferred: Option<PathBuf>,
 }
 
 impl CompositeSink {
-    /// A sink driving the given channels (either may be `None`).
-    pub fn new(metrics: Option<PipelineMetrics>, file: Option<JsonlSink<BufWriter<File>>>) -> Self {
-        CompositeSink { metrics, file }
+    /// A sink driving the given channels (either may be `None`). The
+    /// trace file at `trace` is created on the first event, so a sink
+    /// that never sees a run (a skipped scenario) leaves no file
+    /// behind; a file that cannot be created degrades to "no trace" —
+    /// observability must never fail a run.
+    pub fn new(metrics: Option<PipelineMetrics>, trace: Option<PathBuf>) -> Self {
+        CompositeSink {
+            metrics,
+            file: None,
+            deferred: trace,
+        }
     }
 
     /// Whether no channel is enabled (callers skip installation).
     pub fn is_empty(&self) -> bool {
-        self.metrics.is_none() && self.file.is_none()
+        self.metrics.is_none() && self.file.is_none() && self.deferred.is_none()
     }
 
     /// Takes the folded metrics out (once), flushing the file channel.
@@ -146,6 +152,9 @@ impl CompositeSink {
 
 impl TraceSink for CompositeSink {
     fn record(&mut self, event: &TraceEvent) {
+        if let Some(path) = self.deferred.take() {
+            self.file = JsonlSink::create(path).ok();
+        }
         if let Some(m) = &mut self.metrics {
             m.record(event);
         }
@@ -158,7 +167,6 @@ impl TraceSink for CompositeSink {
         self.metrics
             .as_ref()
             .is_some_and(|m| m.wants_phase_timing())
-            || self.file.as_ref().is_some_and(|f| f.wants_phase_timing())
     }
 
     fn flush(&mut self) {

@@ -1,15 +1,13 @@
 //! Live campaign progress: scenario completion counts, ETA, and
-//! per-worker state, streamed to stderr or a JSONL file.
+//! per-worker state, streamed to stderr or to in-process readers.
 //!
 //! A [`Progress`] implementation is driven by the campaign worker pool
 //! (behind a mutex — progress is inherently a shared, rate-limited
 //! side channel, not a per-step hot path). [`StderrProgress`] renders
-//! a human one-liner; [`JsonlProgress`] appends machine-readable
-//! records for dashboards and post-hoc analysis.
+//! a human one-liner; [`ProgressBus`] records machine-readable event
+//! lines for any number of streaming readers.
 
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::Path;
+use std::io::Write;
 use std::time::{Duration, Instant};
 
 use crate::metrics::json_string;
@@ -40,12 +38,6 @@ pub trait Progress: Send {
     /// The campaign is over; flush anything buffered.
     fn finish(&mut self) {}
 }
-
-/// The zero-cost default: every notification is a no-op.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NoProgress;
-
-impl Progress for NoProgress {}
 
 /// Renders `done/total`, percent, elapsed, ETA, and the busy workers'
 /// current labels as a single stderr line per (rate-limited) update.
@@ -182,91 +174,6 @@ impl Progress for StderrProgress {
     }
 }
 
-/// Appends one JSON record per notification:
-///
-/// ```json
-/// {"progress":"begin","total":12}
-/// {"progress":"item","index":0,"done":1,"total":12,"label":"unison/ring/n=16","ok":true,"elapsed_ms":41}
-/// {"progress":"end","done":12,"total":12,"failed":0,"elapsed_ms":873}
-/// ```
-///
-/// `item_started` is not persisted — the file records completions, not
-/// scheduling.
-pub struct JsonlProgress<W: Write + Send> {
-    writer: W,
-    total: usize,
-    done: usize,
-    failed: usize,
-    started: Option<Instant>,
-}
-
-impl JsonlProgress<BufWriter<File>> {
-    /// Creates (truncating) the progress file at `path`.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(JsonlProgress::new(BufWriter::new(File::create(path)?)))
-    }
-}
-
-impl<W: Write + Send> JsonlProgress<W> {
-    /// Wraps `writer` (supply your own buffering).
-    pub fn new(writer: W) -> Self {
-        JsonlProgress {
-            writer,
-            total: 0,
-            done: 0,
-            failed: 0,
-            started: None,
-        }
-    }
-
-    /// Flushes and hands back the writer.
-    pub fn into_writer(mut self) -> W {
-        let _ = self.writer.flush();
-        self.writer
-    }
-
-    fn elapsed_ms(&self) -> u128 {
-        self.started.map(|t| t.elapsed().as_millis()).unwrap_or(0)
-    }
-}
-
-impl<W: Write + Send> Progress for JsonlProgress<W> {
-    fn begin(&mut self, total: usize) {
-        self.total = total;
-        self.done = 0;
-        self.failed = 0;
-        self.started = Some(Instant::now());
-        let _ = writeln!(self.writer, "{{\"progress\":\"begin\",\"total\":{total}}}");
-    }
-
-    fn item_done(&mut self, index: usize, label: &str, ok: bool) {
-        self.done += 1;
-        if !ok {
-            self.failed += 1;
-        }
-        let _ = writeln!(
-            self.writer,
-            "{{\"progress\":\"item\",\"index\":{index},\"done\":{},\"total\":{},\"label\":{},\"ok\":{ok},\"elapsed_ms\":{}}}",
-            self.done,
-            self.total,
-            json_string(label),
-            self.elapsed_ms()
-        );
-    }
-
-    fn finish(&mut self) {
-        let _ = writeln!(
-            self.writer,
-            "{{\"progress\":\"end\",\"done\":{},\"total\":{},\"failed\":{},\"elapsed_ms\":{}}}",
-            self.done,
-            self.total,
-            self.failed,
-            self.elapsed_ms()
-        );
-        let _ = self.writer.flush();
-    }
-}
-
 // ---------------------------------------------------------------------
 // ProgressBus: the shared live-event channel behind SSE streaming
 // ---------------------------------------------------------------------
@@ -292,18 +199,20 @@ struct BusState {
     snap: BusSnapshot,
 }
 
-/// A cloneable, in-memory progress/trace event bus: the campaign side
-/// writes through the [`Progress`] (and
-/// [`TraceSink`](ssr_runtime::trace::TraceSink)) impls, any number of
-/// readers poll [`ProgressBus::events_since`] — which blocks on a
-/// condvar until new events arrive — and stream them on (this is what
-/// feeds `ssr-serve`'s `text/event-stream` endpoint).
+/// A cloneable, in-memory progress event bus: the campaign side writes
+/// through the [`Progress`] impl, any number of readers poll
+/// [`ProgressBus::events_since`] — which blocks on a condvar until new
+/// events arrive — and stream them on (this is what feeds
+/// `ssr-serve`'s `text/event-stream` endpoint).
 ///
-/// Events are the [`JsonlProgress`] line formats minus the wall-clock
-/// `elapsed_ms` field (bus contents are a deterministic function of
-/// the campaign), so a bus is a JSONL progress file that never touches
-/// disk; `RunEnded` trace events append `{"trace":"run-ended",...}`
-/// lines in between.
+/// Events are one JSON object per line, a deterministic function of
+/// the campaign (no wall-clock fields):
+///
+/// ```json
+/// {"progress":"begin","total":12}
+/// {"progress":"item","index":0,"done":1,"total":12,"label":"unison/ring/n=16","ok":true}
+/// {"progress":"end","done":12,"total":12,"failed":0}
+/// ```
 ///
 /// # Examples
 ///
@@ -339,13 +248,14 @@ impl ProgressBus {
         }
     }
 
-    fn push(&self, line: String, update: impl FnOnce(&mut BusSnapshot)) {
+    /// Updates the counters and appends the event line `event` renders
+    /// from them, waking every blocked reader.
+    fn push(&self, event: impl FnOnce(&mut BusSnapshot) -> String) {
         let (lock, cvar) = &*self.state;
         let mut st = lock.lock().unwrap();
+        let line = event(&mut st.snap);
         st.events.push(line);
-        let events = st.events.len();
-        update(&mut st.snap);
-        st.snap.events = events;
+        st.snap.events = st.events.len();
         cvar.notify_all();
     }
 
@@ -391,70 +301,38 @@ impl Default for ProgressBus {
 
 impl Progress for ProgressBus {
     fn begin(&mut self, total: usize) {
-        self.push(
-            format!("{{\"progress\":\"begin\",\"total\":{total}}}"),
-            |snap| {
-                snap.total = total;
-                snap.done = 0;
-                snap.failed = 0;
-                snap.finished = false;
-            },
-        );
+        self.push(|snap| {
+            snap.total = total;
+            snap.done = 0;
+            snap.failed = 0;
+            snap.finished = false;
+            format!("{{\"progress\":\"begin\",\"total\":{total}}}")
+        });
     }
 
     fn item_done(&mut self, index: usize, label: &str, ok: bool) {
-        let (lock, cvar) = &*self.state;
-        let mut st = lock.lock().unwrap();
-        st.snap.done += 1;
-        if !ok {
-            st.snap.failed += 1;
-        }
-        let line = format!(
-            "{{\"progress\":\"item\",\"index\":{index},\"done\":{},\"total\":{},\"label\":{},\"ok\":{ok}}}",
-            st.snap.done,
-            st.snap.total,
-            json_string(label),
-        );
-        st.events.push(line);
-        st.snap.events = st.events.len();
-        cvar.notify_all();
+        self.push(|snap| {
+            snap.done += 1;
+            if !ok {
+                snap.failed += 1;
+            }
+            format!(
+                "{{\"progress\":\"item\",\"index\":{index},\"done\":{},\"total\":{},\"label\":{},\"ok\":{ok}}}",
+                snap.done,
+                snap.total,
+                json_string(label),
+            )
+        });
     }
 
     fn finish(&mut self) {
-        let (lock, cvar) = &*self.state;
-        let mut st = lock.lock().unwrap();
-        let line = format!(
-            "{{\"progress\":\"end\",\"done\":{},\"total\":{},\"failed\":{}}}",
-            st.snap.done, st.snap.total, st.snap.failed,
-        );
-        st.events.push(line);
-        st.snap.events = st.events.len();
-        st.snap.finished = true;
-        cvar.notify_all();
-    }
-}
-
-impl ssr_runtime::trace::TraceSink for ProgressBus {
-    fn record(&mut self, event: &ssr_runtime::trace::TraceEvent) {
-        if let ssr_runtime::trace::TraceEvent::RunEnded {
-            steps,
-            moves,
-            rounds,
-            reason,
-        } = event
-        {
-            self.push(
-                format!(
-                    "{{\"trace\":\"run-ended\",\"steps\":{steps},\"moves\":{moves},\
-                     \"rounds\":{rounds},\"reason\":\"{reason}\"}}"
-                ),
-                |_| {},
-            );
-        }
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
+        self.push(|snap| {
+            snap.finished = true;
+            format!(
+                "{{\"progress\":\"end\",\"done\":{},\"total\":{},\"failed\":{}}}",
+                snap.done, snap.total, snap.failed,
+            )
+        });
     }
 }
 
@@ -463,31 +341,13 @@ impl ssr_runtime::trace::TraceSink for ProgressBus {
 #[allow(dead_code)]
 fn assert_send() {
     fn is_send<T: Send>() {}
-    is_send::<NoProgress>();
     is_send::<StderrProgress>();
-    is_send::<JsonlProgress<BufWriter<File>>>();
     is_send::<ProgressBus>();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn jsonl_progress_records_the_campaign() {
-        let mut p = JsonlProgress::new(Vec::new());
-        p.begin(2);
-        p.item_done(0, "a/b", true);
-        p.item_done(1, "c\"d", false);
-        p.finish();
-        let out = String::from_utf8(p.into_writer()).unwrap();
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert_eq!(lines[0], "{\"progress\":\"begin\",\"total\":2}");
-        assert!(lines[1].contains("\"done\":1") && lines[1].contains("\"label\":\"a/b\""));
-        assert!(lines[2].contains("\"ok\":false") && lines[2].contains("c\\\"d"));
-        assert!(lines[3].starts_with("{\"progress\":\"end\",\"done\":2,\"total\":2,\"failed\":1"));
-    }
 
     #[test]
     fn stderr_progress_tracks_counts_and_workers() {
@@ -541,33 +401,6 @@ mod tests {
         let snap = bus.snapshot();
         assert_eq!((snap.total, snap.done, snap.failed), (2, 2, 1));
         assert!(snap.finished);
-    }
-
-    #[test]
-    fn bus_records_run_ended_trace_events_only() {
-        use ssr_runtime::trace::{TraceEvent, TraceSink};
-        use ssr_runtime::TerminationReason;
-        let mut bus = ProgressBus::new();
-        assert!(!bus.wants_phase_timing());
-        bus.record(&TraceEvent::StepStarted {
-            step: 1,
-            enabled: 3,
-        });
-        bus.record(&TraceEvent::RunEnded {
-            steps: 5,
-            moves: 7,
-            rounds: 2,
-            reason: TerminationReason::Terminal,
-        });
-        let (events, _) = bus.events_since(0, Duration::ZERO);
-        assert_eq!(
-            events,
-            vec![
-                "{\"trace\":\"run-ended\",\"steps\":5,\"moves\":7,\"rounds\":2,\
-                 \"reason\":\"terminal\"}"
-            ]
-        );
-        assert!(bus.as_any_mut().is_some());
     }
 
     #[test]

@@ -649,8 +649,7 @@ svg{width:100%;height:auto;display:block;margin-top:.5rem}\
 .s1{--c:var(--series-1)}.s2{--c:var(--series-2)}.s3{--c:var(--series-3)}\
 .s4{--c:var(--series-4)}.s5{--c:var(--series-5)}.s6{--c:var(--series-6)}\
 .s7{--c:var(--series-7)}.s8{--c:var(--series-8)}\
-svg rect{fill:var(--c)}svg circle.dot{fill:var(--c);stroke:var(--surface);stroke-width:2}\
-svg path.line{stroke:var(--c);stroke-width:2;fill:none}\
+svg rect{fill:var(--c)}\
 svg .grid{stroke:var(--grid);stroke-width:1}\
 svg .marker{stroke:var(--ink);stroke-width:2}\
 svg text{fill:var(--ink-2);font:11px system-ui,sans-serif}\

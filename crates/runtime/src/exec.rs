@@ -89,7 +89,6 @@ use ssr_graph::{Graph, NodeId};
 use crate::algorithm::{Algorithm, RuleId};
 use crate::daemon::Daemon;
 use crate::simulator::{RunOutcome, Simulator, StepOutcome, TerminationReason};
-use crate::trace::TraceSink;
 
 /// A passive probe attached to an execution.
 ///
@@ -315,9 +314,6 @@ pub struct Execution<'e, 'g, A: Algorithm, O = NoObserver, P = NoPredicate<A>> {
     cap: u64,
     observer: O,
     predicate: Option<P>,
-    /// `Some(sink)` when [`Execution::trace`] was called: installed on
-    /// the simulator before the run (see [`crate::trace`]).
-    trace: Option<Box<dyn TraceSink>>,
 }
 
 /// Outcome of [`Execution::run_report`]: the [`RunOutcome`] plus the
@@ -372,7 +368,6 @@ impl<'e, 'g, A: Algorithm> Execution<'e, 'g, A> {
             cap: u64::MAX,
             observer: NoObserver,
             predicate: None,
-            trace: None,
         }
     }
 
@@ -383,7 +378,6 @@ impl<'e, 'g, A: Algorithm> Execution<'e, 'g, A> {
             cap: u64::MAX,
             observer: NoObserver,
             predicate: None,
-            trace: None,
         }
     }
 }
@@ -461,20 +455,6 @@ impl<'e, 'g, A: Algorithm, O, P> Execution<'e, 'g, A, O, P> {
         self
     }
 
-    /// Installs a [`TraceSink`] on the simulator for this run: the step
-    /// pipeline emits the typed event stream documented in
-    /// [`crate::trace`]. On a resumed execution the sink stays
-    /// installed afterwards — recover it with
-    /// [`Simulator::take_trace_sink`]. A second call replaces the sink.
-    ///
-    /// Tracing never changes execution; with no sink the pipeline's
-    /// disabled path is pinned at zero cost by the `obs_overhead`
-    /// bench.
-    pub fn trace(mut self, sink: Box<dyn TraceSink>) -> Self {
-        self.trace = Some(sink);
-        self
-    }
-
     /// Attaches a probe; repeated calls nest, so every attached
     /// observer sees every event (earlier attachments fire first).
     pub fn observe<O2: Observer<A>>(self, observer: O2) -> Execution<'e, 'g, A, (O, O2), P> {
@@ -483,7 +463,6 @@ impl<'e, 'g, A: Algorithm, O, P> Execution<'e, 'g, A, O, P> {
             cap: self.cap,
             observer: (self.observer, observer),
             predicate: self.predicate,
-            trace: self.trace,
         }
     }
 
@@ -499,7 +478,6 @@ impl<'e, 'g, A: Algorithm, O, P> Execution<'e, 'g, A, O, P> {
             cap: self.cap,
             observer: self.observer,
             predicate: Some(predicate),
-            trace: self.trace,
         }
     }
 }
@@ -546,20 +524,11 @@ where
             cap,
             mut observer,
             mut predicate,
-            trace,
         } = self;
         match source {
-            Source::Resumed(sim) => {
-                if let Some(sink) = trace {
-                    sim.set_trace_sink(sink);
-                }
-                drive(sim, cap, &mut observer, predicate.as_mut())
-            }
+            Source::Resumed(sim) => drive(sim, cap, &mut observer, predicate.as_mut()),
             fresh @ Source::Fresh { .. } => {
                 let mut sim = Self::build(fresh);
-                if let Some(sink) = trace {
-                    sim.set_trace_sink(sink);
-                }
                 drive(&mut sim, cap, &mut observer, predicate.as_mut())
             }
         }
@@ -578,7 +547,6 @@ where
             cap,
             mut observer,
             mut predicate,
-            trace,
         } = self;
         assert!(
             matches!(source, Source::Fresh { .. }),
@@ -586,9 +554,6 @@ where
              already owns the simulator — use run() instead"
         );
         let mut sim = Self::build(source);
-        if let Some(sink) = trace {
-            sim.set_trace_sink(sink);
-        }
         let outcome = drive(&mut sim, cap, &mut observer, predicate.as_mut());
         RunReport { outcome, sim }
     }

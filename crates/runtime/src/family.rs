@@ -41,7 +41,8 @@ use crate::exhaustive::{
     explore, Exploration, ExploreError, ExploreOptions, ExploreState, WorstCase,
 };
 use crate::rng::splitmix64;
-use crate::{Algorithm, Daemon, Execution, Observer, RunOutcome, Simulator, TerminationReason};
+use crate::trace::TraceSink;
+use crate::{Algorithm, Daemon, Execution, RunOutcome, Simulator, TerminationReason};
 
 // ---------------------------------------------------------------------
 // Scenario vocabulary shared by every family
@@ -284,96 +285,27 @@ impl FamilyRunOutcome {
 }
 
 // ---------------------------------------------------------------------
-// Probes: type-erased trajectory hooks through the family boundary
+// The trace slot: the one erased observation seam of a family run
 // ---------------------------------------------------------------------
 
-/// A type-erased trajectory probe attachable to any [`Family::run`].
+/// Drives a family's *measured* execution with the caller's trace sink
+/// installed on `sim`, then moves the sink back into `trace`.
 ///
-/// Families erase their `Algorithm::State`, so a probe sees the
-/// family-agnostic events only: step progress and the final
-/// [`RunOutcome`]. Typed probes (segment tracking, alliance
-/// verification, liveness windows) stay what they always were —
-/// [`Observer`]s attached by callers that construct the concrete
-/// algorithm themselves.
-pub trait FamilyProbe {
-    /// Called after every step of the measured run: cumulative steps
-    /// so far and the number of processes activated in this step.
-    fn on_step(&mut self, steps: u64, activated: usize) {
-        let _ = (steps, activated);
+/// [`Family::run`] bodies call this after any warm-up phase, so the
+/// trace covers exactly the run whose numbers the outcome reports.
+/// With an empty slot nothing is installed and the step loop takes
+/// its untraced path.
+pub fn run_traced<'g, A: Algorithm, R>(
+    sim: &mut Simulator<'g, A>,
+    trace: &mut Option<Box<dyn TraceSink>>,
+    measured: impl FnOnce(&mut Simulator<'g, A>) -> R,
+) -> R {
+    if let Some(sink) = trace.take() {
+        sim.set_trace_sink(sink);
     }
-
-    /// Called once when the measured run ends.
-    fn on_run_end(&mut self, outcome: &RunOutcome) {
-        let _ = outcome;
-    }
-
-    /// A [`TraceSink`](crate::trace::TraceSink) for the *measured*
-    /// execution, installed by the family after any warm-up phase.
-    /// Default `None`: no tracing through the family boundary.
-    fn make_trace_sink(&mut self) -> Option<Box<dyn crate::trace::TraceSink>> {
-        None
-    }
-
-    /// Hands the sink from [`FamilyProbe::make_trace_sink`] back after
-    /// the measured execution, with everything it recorded (use
-    /// [`TraceSink::as_any_mut`](crate::trace::TraceSink::as_any_mut)
-    /// to recover the concrete type). Default: drop it.
-    fn collect_trace_sink(&mut self, sink: Box<dyn crate::trace::TraceSink>) {
-        let _ = sink;
-    }
-}
-
-/// Bridges an optional erased [`FamilyProbe`] onto the typed
-/// [`Observer`] hooks — the adapter families attach inside their
-/// `run` implementations.
-pub struct ProbeBridge<'p> {
-    probe: Option<&'p mut dyn FamilyProbe>,
-    steps: u64,
-}
-
-impl<'p> ProbeBridge<'p> {
-    /// Wraps `probe` (no-op when `None`).
-    pub fn new(probe: Option<&'p mut dyn FamilyProbe>) -> Self {
-        ProbeBridge { probe, steps: 0 }
-    }
-
-    /// Installs the probe's trace sink (if it supplies one) on `sim` —
-    /// called by family `run` bodies right before the *measured*
-    /// execution, after any warm-up phase.
-    pub fn install_trace<A: Algorithm>(&mut self, sim: &mut Simulator<'_, A>) {
-        if let Some(probe) = self.probe.as_deref_mut() {
-            if let Some(sink) = probe.make_trace_sink() {
-                sim.set_trace_sink(sink);
-            }
-        }
-    }
-
-    /// Returns the installed sink to the probe after the measured
-    /// execution — the counterpart of [`ProbeBridge::install_trace`].
-    pub fn collect_trace<A: Algorithm>(&mut self, sim: &mut Simulator<'_, A>) {
-        if let Some(sink) = sim.take_trace_sink() {
-            if let Some(probe) = self.probe.as_deref_mut() {
-                probe.collect_trace_sink(sink);
-            }
-        }
-    }
-}
-
-impl<A: Algorithm> Observer<A> for ProbeBridge<'_> {
-    fn on_step(&mut self, _sim: &Simulator<'_, A>, outcome: &crate::StepOutcome) {
-        if let Some(probe) = self.probe.as_deref_mut() {
-            if let crate::StepOutcome::Progress { activated } = outcome {
-                self.steps += 1;
-                probe.on_step(self.steps, *activated);
-            }
-        }
-    }
-
-    fn on_run_end(&mut self, _sim: &Simulator<'_, A>, outcome: &RunOutcome) {
-        if let Some(probe) = self.probe.as_deref_mut() {
-            probe.on_run_end(outcome);
-        }
-    }
+    let out = measured(sim);
+    *trace = sim.take_trace_sink();
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -419,6 +351,11 @@ pub trait Family: Send + Sync {
     /// configuration per `init`, drives the run under `daemon` within
     /// `cap` steps, and reports the flat outcome with the bound-check
     /// verdict filled in.
+    ///
+    /// `trace` is the caller's observation slot: a sink found there is
+    /// installed on the measured execution (see [`run_traced`]) and
+    /// handed back in the slot afterwards, with everything it
+    /// recorded. The outcome never depends on it.
     fn run(
         &self,
         graph: &Graph,
@@ -426,7 +363,7 @@ pub trait Family: Send + Sync {
         daemon: &Daemon,
         seeds: RunSeeds,
         cap: u64,
-        probe: Option<&mut dyn FamilyProbe>,
+        trace: &mut Option<Box<dyn TraceSink>>,
     ) -> FamilyRunOutcome;
 
     /// Checks the §3.5 requirements of the family's input algorithm on
@@ -978,20 +915,15 @@ mod tests {
             daemon: &Daemon,
             seeds: RunSeeds,
             cap: u64,
-            probe: Option<&mut dyn FamilyProbe>,
+            trace: &mut Option<Box<dyn TraceSink>>,
         ) -> FamilyRunOutcome {
             let mut init = vec![false; graph.node_count()];
             init[0] = true;
-            let mut bridge = ProbeBridge::new(probe);
-            let report = Execution::of(graph, crate::exhaustive::testutil::Flood)
-                .init(init)
-                .daemon(daemon.clone())
-                .seed(seeds.sim)
-                .cap(cap)
-                .observe(&mut bridge)
-                .run_report();
-            let mut out = FamilyRunOutcome::from_run(&report.outcome, report.sim.stats().steps);
-            out.max_moves_per_process = report.sim.stats().max_moves_per_process();
+            let flood = crate::exhaustive::testutil::Flood;
+            let mut sim = Simulator::new(graph, flood, init, daemon.clone(), seeds.sim);
+            let report = run_traced(&mut sim, trace, |sim| sim.execution().cap(cap).run());
+            let mut out = FamilyRunOutcome::from_run(&report, sim.stats().steps);
+            out.max_moves_per_process = sim.stats().max_moves_per_process();
             out
         }
     }
@@ -1033,7 +965,7 @@ mod tests {
                 _: &Daemon,
                 _: RunSeeds,
                 _: u64,
-                _: Option<&mut dyn FamilyProbe>,
+                _: &mut Option<Box<dyn TraceSink>>,
             ) -> FamilyRunOutcome {
                 unimplemented!("never run in this test")
             }
@@ -1053,33 +985,58 @@ mod tests {
 
     #[test]
     fn family_run_reports_and_probes() {
-        struct Count(u64, bool);
-        impl FamilyProbe for Count {
-            fn on_step(&mut self, steps: u64, _activated: usize) {
-                self.0 = steps;
+        // The trace slot round-trips: the sink goes in, sees exactly
+        // the measured run, and comes back out in the slot.
+        #[derive(Default)]
+        struct Count {
+            steps: u64,
+            ended_terminal: bool,
+        }
+        impl TraceSink for Count {
+            fn record(&mut self, event: &crate::trace::TraceEvent) {
+                match event {
+                    crate::trace::TraceEvent::StepStarted { .. } => self.steps += 1,
+                    crate::trace::TraceEvent::RunEnded { reason, .. } => {
+                        self.ended_terminal = *reason == TerminationReason::Terminal;
+                    }
+                    _ => {}
+                }
             }
-            fn on_run_end(&mut self, outcome: &RunOutcome) {
-                self.1 = outcome.terminal;
+            fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+                Some(self)
             }
         }
         let g = generators::path(4);
-        let mut probe = Count(0, false);
-        let out = FloodFamily.run(
-            &g,
-            &InitPlan::Normal,
-            &Daemon::Synchronous,
-            RunSeeds {
-                init: 0,
-                sim: 0,
-                fault: 0,
-            },
-            1_000,
-            Some(&mut probe),
-        );
+        let seeds = RunSeeds {
+            init: 0,
+            sim: 0,
+            fault: 0,
+        };
+        let run = |trace: &mut Option<Box<dyn TraceSink>>| {
+            FloodFamily.run(
+                &g,
+                &InitPlan::Normal,
+                &Daemon::Synchronous,
+                seeds,
+                1_000,
+                trace,
+            )
+        };
+        let mut slot: Option<Box<dyn TraceSink>> = Some(Box::new(Count::default()));
+        let out = run(&mut slot);
         assert!(out.terminal && out.reached);
         assert_eq!(out.moves, 3);
-        assert_eq!(probe.0, 3, "probe saw every step");
-        assert!(probe.1, "probe saw the run end");
+        let mut sink = slot.expect("the sink comes back in the slot");
+        let count = sink
+            .as_any_mut()
+            .and_then(|a| a.downcast_mut::<Count>())
+            .expect("same concrete sink");
+        assert_eq!(count.steps, out.steps, "sink saw every step");
+        assert!(count.ended_terminal, "sink saw the run end");
+        // An empty slot stays empty and the outcome is unchanged.
+        let mut empty = None;
+        assert_eq!(run(&mut empty), out);
+        assert!(empty.is_none());
     }
 
     #[test]

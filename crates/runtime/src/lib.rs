@@ -97,7 +97,7 @@ pub use analysis::{
 pub use daemon::Daemon;
 pub use exec::{Execution, NoObserver, NoPredicate, Observer, RunReport};
 pub use family::{
-    AlgorithmSpec, Amount, Bounds, ExploreFamily, Family, FamilyProbe, FamilyRegistry,
+    run_traced, AlgorithmSpec, Amount, Bounds, ExploreFamily, Family, FamilyRegistry,
     FamilyRunOutcome, InitPlan, RunSeeds, Verdict,
 };
 pub use fingerprint::{Canon, Fingerprint, FpEncoder};

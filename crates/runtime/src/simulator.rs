@@ -16,10 +16,8 @@ use crate::trace::{TraceEvent, TracePhase, TraceSink};
 /// Execution counters (§2.4 time measures).
 ///
 /// The per-node vectors (`moves_per_process`, `moves_per_process_rule`)
-/// are allocated **lazily** on the first counted move, and not at all
-/// when detailed stats are disabled ([`Simulator::set_detailed_stats`])
-/// — a million-node run does not pay `O(n · rules)` memory for
-/// accounting nothing reads. Use [`RunStats::moves_of`] and
+/// are allocated **lazily** on the first counted move — a simulator
+/// that never moves does not pay `O(n · rules)` memory for them. Use [`RunStats::moves_of`] and
 /// [`RunStats::max_moves_per_process`] rather than indexing the vectors
 /// directly; they treat the unallocated vectors as all-zero.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -168,8 +166,6 @@ pub struct Simulator<'g, A: Algorithm> {
     round_just_completed: bool,
     rr_cursor: usize,
     stats: RunStats,
-    /// Whether per-node move counters are maintained (lazily allocated).
-    detailed_stats: bool,
     /// Installed trace sink (`None` = tracing disabled, the default;
     /// see [`crate::trace`] for the zero-cost contract).
     trace: Option<Box<dyn TraceSink>>,
@@ -224,7 +220,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
             round_just_completed: false,
             rr_cursor: 0,
             stats: RunStats::new(rules),
-            detailed_stats: true,
             trace: None,
             last_phase_draws: [0; 3],
             selected: Vec::new(),
@@ -245,14 +240,6 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
     /// leaves this choice nondeterministic, §2.2).
     pub fn set_random_rule_choice(&mut self, random: bool) {
         self.random_rule_choice = random;
-    }
-
-    /// Enables or disables per-node move counters (`moves_per_process`,
-    /// `moves_per_process_rule`). On by default; switch off for scale
-    /// runs where nothing reads them — aggregate counters (steps,
-    /// moves, rounds, per-rule moves) are always maintained.
-    pub fn set_detailed_stats(&mut self, detailed: bool) {
-        self.detailed_stats = detailed;
     }
 
     /// Installs a [`TraceSink`]: every subsequent step emits the typed
@@ -458,7 +445,7 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
         // Merge: commit all writes in selection order (composite
         // atomicity — every read above saw the pre-step configuration).
         let rules = self.algo.rule_count();
-        if self.detailed_stats && self.stats.moves_per_process.is_empty() {
+        if self.stats.moves_per_process.is_empty() {
             let n = self.graph.node_count();
             self.stats.moves_per_process = vec![0; n];
             self.stats.moves_per_process_rule = vec![0; n * rules];
@@ -467,10 +454,8 @@ impl<'g, A: Algorithm> Simulator<'g, A> {
             self.states[u.index()] = next_state;
             self.stats.moves += 1;
             self.stats.moves_per_rule[rule.index()] += 1;
-            if self.detailed_stats {
-                self.stats.moves_per_process[u.index()] += 1;
-                self.stats.moves_per_process_rule[u.index() * rules + rule.index()] += 1;
-            }
+            self.stats.moves_per_process[u.index()] += 1;
+            self.stats.moves_per_process_rule[u.index() * rules + rule.index()] += 1;
         }
         self.next_buf = next;
         self.stats.steps += 1;
@@ -850,21 +835,6 @@ mod tests {
         assert_eq!(sim.stats().moves_per_rule, vec![3]);
         assert_eq!(sim.stats().max_moves_per_process(), 1);
         assert_eq!(sim.stats().moves_of(NodeId(2), RuleId(0), 1), 1);
-    }
-
-    #[test]
-    fn detailed_stats_can_be_disabled() {
-        let (init, g) = flood_path(4);
-        let mut sim = Simulator::new(&g, Flood, init, Daemon::Synchronous, 0);
-        sim.set_detailed_stats(false);
-        sim.execution().cap(100).run();
-        // Aggregates still tracked; per-node vectors never allocated.
-        assert_eq!(sim.stats().moves, 3);
-        assert_eq!(sim.stats().moves_per_rule, vec![3]);
-        assert!(sim.stats().moves_per_process.is_empty());
-        assert!(sim.stats().moves_per_process_rule.is_empty());
-        assert_eq!(sim.stats().moves_of(NodeId(2), RuleId(0), 1), 0);
-        assert_eq!(sim.stats().max_moves_per_process(), 0);
     }
 
     #[test]

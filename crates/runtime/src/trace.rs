@@ -148,7 +148,8 @@ impl TraceEvent {
 ///
 /// Sinks are installed per simulator
 /// ([`Simulator::set_trace_sink`](crate::Simulator::set_trace_sink),
-/// [`Execution::trace`](crate::Execution::trace)) and owned by it for
+/// or through the trace slot of
+/// [`Family::run`](crate::family::Family::run)) and owned by it for
 /// the duration of the run; take them back with
 /// [`Simulator::take_trace_sink`](crate::Simulator::take_trace_sink)
 /// to read what they collected. `Send` keeps the simulator's threading

@@ -106,6 +106,7 @@ fn reason(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         409 => "Conflict",
+        422 => "Unprocessable Entity",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     }

@@ -14,7 +14,9 @@ use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
-use ssr_campaign::{engine, output, CacheLayer, CampaignObs, CheckpointWriter, RecordCache};
+use ssr_campaign::{
+    engine, output, CacheLayer, CampaignObs, CheckpointWriter, RecordCache, RunOpts,
+};
 use ssr_obs::progress::{Progress, ProgressBus};
 
 use crate::jobs::{Job, JobPhase};
@@ -93,7 +95,15 @@ pub fn run_job(job: &Job, store: &Store, threads: usize) {
         let mut obs = CampaignObs::new()
             .with_metrics()
             .with_progress(Box::new(UntilStored(bus)));
-        let records = engine::run_obs_cached(&campaign, threads, &mut obs, layer);
+        let records = engine::run(
+            &campaign,
+            RunOpts {
+                threads,
+                obs: Some(&mut obs),
+                cache: Some(layer),
+                ..RunOpts::default()
+            },
+        );
         let metrics = obs.take_metrics().expect("metrics channel was enabled");
         (records, metrics)
     }));

@@ -12,7 +12,7 @@
 //! | method & path | response |
 //! |---|---|
 //! | `GET /healthz` | `200 ok` |
-//! | `POST /campaigns` | spec JSON in, `201` + status JSON (or `400`/`503` when draining) |
+//! | `POST /campaigns` | spec JSON in, `201` + status JSON (`400` malformed, `422` over the admission limits, `503` when draining) |
 //! | `GET /campaigns` | listing of every job's status |
 //! | `GET /campaigns/<job>` | one job's status JSON |
 //! | `GET /campaigns/<job>/events` | live `text/event-stream` of progress lines |
@@ -165,10 +165,10 @@ fn submit(stream: &mut TcpStream, req: &Request, shared: &Shared) {
             return;
         }
     };
-    let (id, campaign) = match spec::parse(text) {
+    let (id, campaign) = match spec::parse_with_status(text) {
         Ok(parsed) => parsed,
-        Err(e) => {
-            http::respond_text(stream, 400, &e);
+        Err((status, e)) => {
+            http::respond_text(stream, status, &e);
             return;
         }
     };

@@ -9,6 +9,11 @@
 //! defaults; unknown keys are hard errors (a typoed axis silently
 //! sweeping the default would be worse).
 //!
+//! A spec is also *admitted* only within two fixed limits (DESIGN.md
+//! §13): at most [`MAX_SCENARIOS`] scenarios in its grid and no size
+//! above [`MAX_NODES`]. Both bound what one job can allocate; the
+//! server answers `422` for a well-formed spec beyond them.
+//!
 //! ```json
 //! {"schema":"ssr-campaign-spec/v1","id":"smoke",
 //!  "topologies":["ring","star"],"sizes":[6,8],
@@ -22,6 +27,16 @@ use ssr_runtime::Daemon;
 
 /// Schema tag every spec must carry.
 pub const SCHEMA: &str = "ssr-campaign-spec/v1";
+
+/// Most scenarios one spec may expand to. The engine keeps a record
+/// slot per scenario and the job keeps the rendered records, so the
+/// grid size bounds a job's memory.
+pub const MAX_SCENARIOS: usize = 100_000;
+
+/// Largest size a spec may ask for. Complete and `gnp` topologies hold
+/// up to `n²` adjacency entries, so at this cap one graph stays under
+/// about 70 MB.
+pub const MAX_NODES: usize = 4_096;
 
 /// Keys the v1 schema understands.
 const KNOWN_KEYS: [&str; 10] = [
@@ -37,12 +52,38 @@ const KNOWN_KEYS: [&str; 10] = [
     "seed",
 ];
 
-/// Parses `text` as a `ssr-campaign-spec/v1` document.
+/// Parses `text` as a `ssr-campaign-spec/v1` document and admits it.
 ///
 /// Returns the campaign id and the fully-built grid. The id is
 /// restricted to `[A-Za-z0-9._-]` because it becomes a URL path
-/// segment.
+/// segment. A spec beyond [`MAX_SCENARIOS`] or [`MAX_NODES`] is an
+/// error too.
 pub fn parse(text: &str) -> Result<(String, Campaign), String> {
+    parse_with_status(text).map_err(|(_, e)| e)
+}
+
+/// [`parse`] plus the HTTP status a refusal maps to: `400` for a
+/// malformed spec, `422` for a well-formed one beyond the limits.
+pub(crate) fn parse_with_status(text: &str) -> Result<(String, Campaign), (u16, String)> {
+    let (id, campaign, largest) = parse_grid(text).map_err(|e| (400, e))?;
+    if largest > MAX_NODES {
+        return Err((
+            422,
+            format!("spec: size {largest} exceeds the limit of {MAX_NODES} nodes"),
+        ));
+    }
+    match campaign.checked_len() {
+        Some(total) if total <= MAX_SCENARIOS => Ok((id, campaign)),
+        _ => Err((
+            422,
+            format!("spec: the grid exceeds the limit of {MAX_SCENARIOS} scenarios"),
+        )),
+    }
+}
+
+/// The grid a spec describes, plus the largest size it names (0 when
+/// it names none).
+fn parse_grid(text: &str) -> Result<(String, Campaign, usize), String> {
     let root = json::parse(text)?;
     let members = json::obj(&root, "spec")?;
     for (key, _) in members {
@@ -77,8 +118,12 @@ pub fn parse(text: &str) -> Result<(String, Campaign), String> {
             TopologySpec::parse_label(s).ok_or_else(|| format!("unknown topology {s:?}"))
         })?);
     }
+    // The default size is far inside the node limit.
+    let mut largest = 0;
     if let Some(v) = lookup(members, "sizes") {
-        campaign = campaign.sizes(parse_usizes(v, "sizes")?);
+        let sizes = parse_usizes(v, "sizes")?;
+        largest = sizes.iter().copied().max().unwrap_or(0);
+        campaign = campaign.sizes(sizes);
     }
     if let Some(v) = lookup(members, "algorithms") {
         campaign = campaign.algorithms(parse_axis(v, "algorithms", |s| {
@@ -113,7 +158,7 @@ pub fn parse(text: &str) -> Result<(String, Campaign), String> {
     if let Some(v) = lookup(members, "seed") {
         campaign = campaign.seed(v.as_u64().ok_or("spec: seed must be an unsigned integer")?);
     }
-    Ok((id, campaign))
+    Ok((id, campaign, largest))
 }
 
 fn lookup<'v>(members: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
@@ -233,6 +278,35 @@ mod tests {
             let err = parse(text).unwrap_err();
             assert!(err.contains(needle), "{text} -> {err}");
         }
+    }
+
+    #[test]
+    fn over_limit_specs_are_refused_as_unprocessable() {
+        for (text, needle) in [
+            (
+                r#"{"schema":"ssr-campaign-spec/v1","id":"x","trials":100000000}"#,
+                "scenarios",
+            ),
+            (
+                r#"{"schema":"ssr-campaign-spec/v1","id":"x","sizes":[4000000000]}"#,
+                "nodes",
+            ),
+            (
+                r#"{"schema":"ssr-campaign-spec/v1","id":"x","trials":18446744073709551615,
+                    "topologies":["ring","star"],"sizes":[4,8]}"#,
+                "scenarios",
+            ),
+        ] {
+            let (status, err) = parse_with_status(text).unwrap_err();
+            assert_eq!(status, 422, "{text}");
+            assert!(err.contains(needle), "{text} -> {err}");
+        }
+        assert_eq!(parse_with_status("{").unwrap_err().0, 400);
+        // At the limits exactly, a spec is admitted.
+        let edge = format!(
+            r#"{{"schema":"ssr-campaign-spec/v1","id":"x","sizes":[{MAX_NODES}],"trials":{MAX_SCENARIOS}}}"#
+        );
+        assert_eq!(parse(&edge).unwrap().1.len(), MAX_SCENARIOS);
     }
 
     #[test]

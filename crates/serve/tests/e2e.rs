@@ -210,3 +210,29 @@ fn deeply_nested_json_is_a_400_and_the_server_survives() {
     let (_, _) = request(addr, "POST", "/shutdown", "");
     running.join().unwrap().unwrap();
 }
+
+#[test]
+fn over_limit_specs_are_a_422_and_the_server_survives() {
+    let server = Server::bind(ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let running = std::thread::spawn(move || server.run());
+
+    for body in [
+        r#"{"schema":"ssr-campaign-spec/v1","id":"huge-grid","trials":100000000}"#,
+        r#"{"schema":"ssr-campaign-spec/v1","id":"huge-graph","sizes":[4000000000]}"#,
+    ] {
+        let (status, raw) = request(addr, "POST", "/campaigns", body);
+        assert_eq!(status, 422, "{raw}");
+        assert!(body_of(&raw).contains("limit"), "{raw}");
+    }
+    // Neither was queued.
+    let (status, raw) = request(addr, "GET", "/campaigns", "");
+    assert_eq!(status, 200);
+    assert!(!body_of(&raw).contains("huge"), "{raw}");
+    let (status, raw) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    assert!(body_of(&raw).starts_with("ok"));
+
+    let (_, _) = request(addr, "POST", "/shutdown", "");
+    running.join().unwrap().unwrap();
+}

@@ -11,12 +11,12 @@ use ssr_runtime::analysis::{
 };
 use ssr_runtime::exhaustive::ExploreOptions;
 use ssr_runtime::family::{
-    explore_sample_seeds, explore_with_replay, stochastic_max_runs, AlgorithmSpec, Bounds,
-    ExploreFamily, ExploreReport, Family, FamilyProbe, FamilyRunOutcome, InitPlan, ProbeBridge,
-    RunSeeds, StochasticMax, Verdict,
+    explore_sample_seeds, explore_with_replay, run_traced, stochastic_max_runs, AlgorithmSpec,
+    Bounds, ExploreFamily, ExploreReport, Family, FamilyRunOutcome, InitPlan, RunSeeds,
+    StochasticMax, Verdict,
 };
 use ssr_runtime::rng::Xoshiro256StarStar;
-use ssr_runtime::{Algorithm, Daemon, Simulator};
+use ssr_runtime::{Algorithm, Daemon, Simulator, TraceSink};
 
 use crate::spec;
 use crate::unison::{unison_sdr, Unison, UnisonSdr};
@@ -95,7 +95,7 @@ impl Family for UnisonSdrFamily {
         daemon: &Daemon,
         seeds: RunSeeds,
         cap: u64,
-        probe: Option<&mut dyn FamilyProbe>,
+        trace: &mut Option<Box<dyn TraceSink>>,
     ) -> FamilyRunOutcome {
         let nn = graph.node_count() as u64;
         let algo = unison_sdr(Unison::for_graph(graph));
@@ -112,15 +112,12 @@ impl Family for UnisonSdrFamily {
             let mut rng = Xoshiro256StarStar::seed_from_u64(seeds.fault);
             warm_up_and_corrupt_clocks(&mut sim, k.resolve(nn), period, &mut rng);
         }
-        let mut bridge = ProbeBridge::new(probe);
-        bridge.install_trace(&mut sim);
-        let out = sim
-            .execution()
-            .cap(cap)
-            .observe(&mut bridge)
-            .until(|gr, st| check.is_normal_config(gr, st))
-            .run();
-        bridge.collect_trace(&mut sim);
+        let out = run_traced(&mut sim, trace, |sim| {
+            sim.execution()
+                .cap(cap)
+                .until(|gr, st| check.is_normal_config(gr, st))
+                .run()
+        });
         let pp = max_sdr_moves_per_process(graph, sim.stats(), rc);
         let mut fo = FamilyRunOutcome::from_run(&out, sim.stats().steps);
         fo.max_moves_per_process = pp;
@@ -270,7 +267,7 @@ impl Family for UnisonFamily {
         daemon: &Daemon,
         seeds: RunSeeds,
         cap: u64,
-        probe: Option<&mut dyn FamilyProbe>,
+        trace: &mut Option<Box<dyn TraceSink>>,
     ) -> FamilyRunOutcome {
         let nn = graph.node_count() as u64;
         let unison = Unison::for_graph(graph);
@@ -291,15 +288,12 @@ impl Family for UnisonFamily {
             );
             sim.reset_stats();
         }
-        let mut bridge = ProbeBridge::new(probe);
-        bridge.install_trace(&mut sim);
-        let out = sim
-            .execution()
-            .cap(cap)
-            .observe(&mut bridge)
-            .until(|gr, st| spec::safety_holds(gr, st, period))
-            .run();
-        bridge.collect_trace(&mut sim);
+        let out = run_traced(&mut sim, trace, |sim| {
+            sim.execution()
+                .cap(cap)
+                .until(|gr, st| spec::safety_holds(gr, st, period))
+                .run()
+        });
         let mut fo = FamilyRunOutcome::from_run(&out, sim.stats().steps);
         fo.max_moves_per_process = sim.stats().max_moves_per_process();
         // No closed-form bound: U is not self-stabilizing on its own.
@@ -365,7 +359,7 @@ mod tests {
                 &Daemon::RandomSubset { p: 0.5 },
                 seeds(),
                 2_000_000,
-                None,
+                &mut None,
             );
             assert_eq!(out.verdict, Verdict::Pass, "{init:?}: {out:?}");
         }
@@ -394,7 +388,7 @@ mod tests {
             &Daemon::Central,
             seeds(),
             100_000,
-            None,
+            &mut None,
         );
         assert!(out.reached, "γ_init satisfies the spec instantly");
         assert_eq!(out.verdict, Verdict::NoBound);
@@ -414,7 +408,7 @@ mod tests {
             &Daemon::Central,
             seeds(),
             200_000,
-            None,
+            &mut None,
         );
         assert!(!out.reached, "{out:?}");
         assert_eq!(out.verdict, Verdict::NoBound);
